@@ -7,9 +7,12 @@
  * visible directly in these throughput numbers.
  */
 
+#include <type_traits>
+
 #include <benchmark/benchmark.h>
 
 #include "bigfloat/bigfloat.hh"
+#include "core/bfloat16.hh"
 #include "core/dd.hh"
 #include "core/logspace.hh"
 #include "core/posit.hh"
@@ -65,6 +68,36 @@ BM_Binary64Mul(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Binary64Mul);
+
+void
+BM_BFloat16Add(benchmark::State &state)
+{
+    auto pool = makePool<BFloat16>(
+        [](double v) { return BFloat16::fromDouble(v); });
+    size_t i = 0;
+    BFloat16 acc = BFloat16::zero();
+    for (auto _ : state) {
+        acc = acc + pool[i % pool_size];
+        ++i;
+        benchmark::DoNotOptimize(acc);
+    }
+}
+BENCHMARK(BM_BFloat16Add);
+
+void
+BM_BFloat16Mul(benchmark::State &state)
+{
+    auto pool = makePool<BFloat16>(
+        [](double v) { return BFloat16::fromDouble(v + 0.5); });
+    size_t i = 0;
+    BFloat16 acc = BFloat16::one();
+    for (auto _ : state) {
+        acc = acc * pool[i % pool_size];
+        ++i;
+        benchmark::DoNotOptimize(acc);
+    }
+}
+BENCHMARK(BM_BFloat16Mul);
 
 void
 BM_LogSpaceAddLse(benchmark::State &state)
@@ -196,6 +229,11 @@ scanDataset()
     return ds;
 }
 
+/**
+ * The scalar Listing-2 kernel over the whole scan. bfloat16 has no
+ * hardware lanes, so its batch is the per-column pvalue<T> loop that
+ * Isa::Scalar runs for the hardware formats.
+ */
 template <typename T>
 void
 BM_PbdBatchScalar(benchmark::State &state)
@@ -203,7 +241,13 @@ BM_PbdBatchScalar(benchmark::State &state)
     const auto views = pbd::viewsOf(scanDataset().columns);
     std::vector<T> out(views.size());
     for (auto _ : state) {
-        pbd::pvalueBatchSimd<T>(views, out, simd::Isa::Scalar);
+        if constexpr (std::is_same_v<T, BFloat16>) {
+            for (size_t i = 0; i < views.size(); ++i)
+                out[i] = pbd::pvalue<T>(views[i].success_probs,
+                                        views[i].k);
+        } else {
+            pbd::pvalueBatchSimd<T>(views, out, simd::Isa::Scalar);
+        }
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() *
@@ -211,6 +255,7 @@ BM_PbdBatchScalar(benchmark::State &state)
 }
 BENCHMARK(BM_PbdBatchScalar<double>);
 BENCHMARK(BM_PbdBatchScalar<float>);
+BENCHMARK(BM_PbdBatchScalar<BFloat16>);
 
 template <typename T>
 void

@@ -11,19 +11,36 @@
  * +, -, *, / is innocuous (Figueroa's theorem) — the carrier results
  * are bit-identical to exact-then-round bfloat16 arithmetic.
  *
+ * Both carrier conversions are integer operations on the bit
+ * pattern. Widening shifts the 16 bits into the top half of a
+ * binary32. Narrowing rounds the binary32 pattern to nearest even at
+ * bit 16 (add 0x7FFF plus the kept LSB, then shift right by 16); a
+ * carry out of the fraction bumps the exponent field, and a carry out
+ * of the largest finite binade lands exactly on the infinity pattern.
+ *
  * Subnormals are flushed: a result whose rounded magnitude falls
  * below 2^-126 becomes (signed) zero, matching the flush-to-zero
  * behavior of the ML accelerators that popularized the format. The
- * flush happens after rounding, so a value just below 2^-126 that
- * rounds up to it still survives. Infinities and NaN follow IEEE;
- * the BigFloat oracle has no infinities, so infinite results convert
- * to NaN (and count as invalid in the accuracy harness).
+ * flush happens after rounding, and the rounding is to 8 significant
+ * bits in the value's own binade, so a value just below 2^-126 that
+ * rounds up to it still survives: exactly the values in
+ * [2^-126 - 2^-135, 2^-126) become 2^-126. (Plain RNE on the binary32
+ * subnormal pattern would round at a fixed bit and also keep
+ * [2^-126 - 2^-134, 2^-126 - 2^-135), so subnormal inputs take their
+ * own branch.) Infinities and NaN follow IEEE, and every NaN result is
+ * the canonical quiet NaN; the BigFloat oracle has no infinities, so
+ * infinite results convert to NaN (and count as invalid in the
+ * accuracy harness).
+ *
+ * fromDouble and fromBigFloat round a normalized 64-bit significand
+ * through one shared RNE core (pack), which applies the same
+ * flush-after-round rule.
  */
 
 #ifndef PSTAT_CORE_BFLOAT16_HH
 #define PSTAT_CORE_BFLOAT16_HH
 
-#include <cmath>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -91,44 +108,63 @@ class BFloat16
     static BFloat16
     fromDouble(double value)
     {
-        if (std::isnan(value))
-            return nan();
-        const bool negative = std::signbit(value);
-        if (value == 0.0)
-            return signedZero(negative);
-        if (std::isinf(value))
-            return signedInf(negative);
-        int e = 0;
-        const double frac = std::frexp(std::fabs(value), &e);
-        // frac * 2^64 is integer-valued (53 significant bits), so the
-        // cast is exact and yields a normalized 64-bit significand.
-        const auto sig = static_cast<uint64_t>(std::ldexp(frac, 64));
-        return pack(negative, e - 1, sig, false);
+        const auto u = std::bit_cast<uint64_t>(value);
+        const bool negative = (u >> 63) != 0;
+        const auto exp_field = static_cast<int>((u >> 52) & 0x7FF);
+        const uint64_t frac = u & ((uint64_t{1} << 52) - 1);
+        if (exp_field == 0x7FF)
+            return frac != 0 ? nan() : signedInf(negative);
+        if (exp_field == 0) {
+            if (frac == 0)
+                return signedZero(negative);
+            // Subnormal binary64: normalize so the MSB lands in bit 63.
+            const int shift = std::countl_zero(frac);
+            return pack(negative, -1011 - shift, frac << shift, false);
+        }
+        // value = 1.frac * 2^(exp_field - 1023); the hidden one goes
+        // to bit 63 and the 52 fraction bits follow it.
+        return pack(negative, exp_field - 1023,
+                    ((uint64_t{1} << 52) | frac) << 11, false);
     }
 
-    /** Round a binary32 value to bfloat16 (exact widening back). */
+    /**
+     * Round a binary32 value to bfloat16 (RNE on the bit pattern,
+     * flush-to-zero after rounding).
+     */
     static BFloat16
     fromFloat(float value)
     {
-        return fromDouble(static_cast<double>(value));
+        const auto u = std::bit_cast<uint32_t>(value);
+        const auto sign = static_cast<uint16_t>((u >> 16) & 0x8000);
+        const uint32_t mag = u & 0x7FFFFFFF;
+        if (mag > 0x7F800000)
+            return nan();
+        if (mag < 0x00800000) {
+            // Zero or subnormal: rounding at 8 bits in the value's own
+            // binade reaches 2^-126 only from [2^-126 - 2^-135, 2^-126);
+            // everything else flushes to signed zero.
+            return fromBits(static_cast<uint16_t>(
+                sign | (mag >= 0x00800000 - 0x4000 ? 0x0080 : 0x0000)));
+        }
+        // Normal or infinity: RNE at bit 16. A carry past the largest
+        // finite value produces the infinity pattern 0x7F80.
+        const uint32_t rounded = (mag + 0x7FFF + ((mag >> 16) & 1)) >> 16;
+        return fromBits(static_cast<uint16_t>(sign | rounded));
     }
 
-    /** Exact widening: every finite bfloat16 is a binary32. */
+    /**
+     * Exact widening: every finite bfloat16 is a binary32. Flushed
+     * subnormal patterns widen to signed zero and every NaN to the
+     * canonical quiet NaN.
+     */
     float
     toFloat() const
     {
         if (isNaN())
             return std::numeric_limits<float>::quiet_NaN();
-        if (isInf())
-            return isNegative()
-                       ? -std::numeric_limits<float>::infinity()
-                       : std::numeric_limits<float>::infinity();
-        if (isZero()) // includes flushed subnormal patterns
-            return isNegative() ? -0.0f : 0.0f;
-        const int exp_field = (bits_ >> 7) & 0xFF;
-        const int mant = bits_ & 0x7F;
-        const double mag = std::ldexp(128.0 + mant, exp_field - 134);
-        return static_cast<float>(isNegative() ? -mag : mag);
+        const uint32_t wide = isZero() ? uint32_t{bits_} & 0x8000
+                                       : uint32_t{bits_};
+        return std::bit_cast<float>(wide << 16);
     }
 
     /** Exact widening to binary64. */

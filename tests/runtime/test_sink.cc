@@ -25,6 +25,7 @@
 #include "hmm/generator.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
+#include "../test_util.hh"
 
 namespace
 {
@@ -32,11 +33,7 @@ namespace
 using namespace pstat;
 using namespace pstat::engine;
 
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using pstat::test::tempPath;
 
 std::vector<pbd::Column>
 makeColumns(int n, uint64_t seed)

@@ -24,11 +24,13 @@
 #include "engine/plan.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
+#include "test_util.hh"
 
 namespace
 {
 
 using namespace pstat;
+using pstat::test::tempPath;
 
 /** Run the CLI in-process; captures stdout/stderr around the call. */
 int
@@ -60,8 +62,10 @@ makeShard(const std::string &name, int columns = 60)
     config.num_columns = columns;
     config.seed = 77;
     const auto ds = pbd::makeDataset(config, "cli");
-    const std::string path = ::testing::TempDir() + name;
-    io::writeColumnShard(path, ds.columns);
+    const std::string path = tempPath(name);
+    test::writeThenRename(path, [&](const std::string &partial) {
+        io::writeColumnShard(partial, ds.columns);
+    });
     return path;
 }
 
@@ -98,8 +102,7 @@ TEST(Cli, UnknownOptionFails)
 
 TEST(Cli, MissingShardFails)
 {
-    const std::string missing =
-        ::testing::TempDir() + "no_such_file.shard";
+    const std::string missing = tempPath("no_such_file.shard");
     std::string err;
     EXPECT_EQ(runCli({"eval", "--format", "binary64",
                       missing.c_str()},
@@ -243,8 +246,7 @@ TEST(Cli, InfoPrintsColumnPayloadStats)
 
 TEST(Cli, InfoPrintsSequencePayloadStats)
 {
-    const std::string path =
-        ::testing::TempDir() + "cli_info_seqs.shard";
+    const std::string path = tempPath("cli_info_seqs.shard");
     {
         io::ShardWriter writer(path, io::ShardPayload::Sequences);
         const std::vector<int> a{0, 1, 2, 3};
@@ -263,8 +265,7 @@ TEST(Cli, InfoPrintsSequencePayloadStats)
 TEST(Cli, PlanDumpWritesADecodablePlanWithoutRunning)
 {
     const std::string shard = makeShard("cli_plandump.shard", 20);
-    const std::string plan_path =
-        ::testing::TempDir() + "cli_dump.plan";
+    const std::string plan_path = tempPath("cli_dump.plan");
     std::string out;
     EXPECT_EQ(runCli({"eval", "--format", "log", "--queue", "3",
                       "--plan-dump", plan_path.c_str(),
@@ -289,8 +290,7 @@ TEST(Cli, PlanDumpWritesADecodablePlanWithoutRunning)
 TEST(Cli, PlanFileReplayMatchesDirectFlags)
 {
     const std::string shard = makeShard("cli_replay.shard");
-    const std::string plan_path =
-        ::testing::TempDir() + "cli_replay.plan";
+    const std::string plan_path = tempPath("cli_replay.plan");
     std::string direct;
     EXPECT_EQ(runCli({"eval", "--format", "binary64", shard.c_str()},
                      &direct),
@@ -317,8 +317,7 @@ TEST(Cli, PlanFileReplayMatchesDirectFlags)
 
 TEST(Cli, PlanFileRejectsConflictingFlagsAndBadFiles)
 {
-    const std::string plan_path =
-        ::testing::TempDir() + "cli_conflict.plan";
+    const std::string plan_path = tempPath("cli_conflict.plan");
     std::string err;
     EXPECT_EQ(runCli({"eval", "--plan-file", plan_path.c_str(),
                       "--format", "log"},
@@ -329,13 +328,12 @@ TEST(Cli, PlanFileRejectsConflictingFlagsAndBadFiles)
     // Missing and corrupt plan files are data errors, not crashes.
     err.clear();
     EXPECT_EQ(runCli({"eval", "--plan-file",
-                      (::testing::TempDir() + "nope.plan").c_str()},
+                      tempPath("nope.plan").c_str()},
                      nullptr, &err),
               1);
     EXPECT_FALSE(err.empty());
 
-    const std::string garbage_path =
-        ::testing::TempDir() + "cli_garbage.plan";
+    const std::string garbage_path = tempPath("cli_garbage.plan");
     {
         std::FILE *f = std::fopen(garbage_path.c_str(), "wb");
         ASSERT_NE(f, nullptr);
@@ -352,8 +350,7 @@ TEST(Cli, PlanFileRejectsConflictingFlagsAndBadFiles)
 TEST(Cli, ScreenPlanDumpRoundTripsThroughEval)
 {
     const std::string shard = makeShard("cli_screen_plan.shard");
-    const std::string plan_path =
-        ::testing::TempDir() + "cli_screen.plan";
+    const std::string plan_path = tempPath("cli_screen.plan");
     std::string direct;
     EXPECT_EQ(runCli({"screen", "--format", "log", "--guard-bits",
                       "32", shard.c_str()},
@@ -396,8 +393,7 @@ TEST(Cli, AdaptiveEvalRunsAndReportsTiers)
 TEST(Cli, EvalWritesAndInfoPrintsAResultShard)
 {
     const std::string path = makeShard("cli_out_in.shard");
-    const std::string out_path =
-        ::testing::TempDir() + "cli_out_results.shard";
+    const std::string out_path = tempPath("cli_out_results.shard");
     std::string out;
     EXPECT_EQ(runCli({"eval", "--format", "log", "-o",
                       out_path.c_str(), path.c_str()},
@@ -419,8 +415,7 @@ TEST(Cli, EvalWritesAndInfoPrintsAResultShard)
 TEST(Cli, EvalRejectsAResultShardAsInput)
 {
     const std::string path = makeShard("cli_reject_in.shard");
-    const std::string out_path =
-        ::testing::TempDir() + "cli_reject_results.shard";
+    const std::string out_path = tempPath("cli_reject_results.shard");
     ASSERT_EQ(runCli({"eval", "--format", "log", "-o",
                       out_path.c_str(), path.c_str()}),
               0);
@@ -434,8 +429,7 @@ TEST(Cli, EvalRejectsAResultShardAsInput)
     EXPECT_NE(err.find("holds result records"), std::string::npos);
 
     // Same guard on a --plan-file replay pointed at the wrong data.
-    const std::string plan_path =
-        ::testing::TempDir() + "cli_reject_plan.bin";
+    const std::string plan_path = tempPath("cli_reject_plan.bin");
     ASSERT_EQ(runCli({"eval", "--format", "log", "--plan-dump",
                       plan_path.c_str(), path.c_str()}),
               0);
@@ -450,15 +444,13 @@ TEST(Cli, EvalRejectsAResultShardAsInput)
 TEST(Cli, PlanFileReplayComposesWithOut)
 {
     const std::string path = makeShard("cli_plan_out.shard");
-    const std::string plan_path =
-        ::testing::TempDir() + "cli_plan_out.bin";
+    const std::string plan_path = tempPath("cli_plan_out.bin");
     ASSERT_EQ(runCli({"eval", "--format", "log", "--plan-dump",
                       plan_path.c_str(), path.c_str()}),
               0);
     // --out is a runtime binding, not plan configuration, so it must
     // not trip the replay's conflicting-flags guard.
-    const std::string out_path =
-        ::testing::TempDir() + "cli_plan_out_results.shard";
+    const std::string out_path = tempPath("cli_plan_out_results.shard");
     std::string out;
     EXPECT_EQ(runCli({"eval", "--plan-file", plan_path.c_str(), "-o",
                       out_path.c_str(), path.c_str()},
@@ -470,8 +462,7 @@ TEST(Cli, PlanFileReplayComposesWithOut)
 TEST(Cli, ScreenPersistsSkippedFlagsInTheResultShard)
 {
     const std::string path = makeShard("cli_screen_out.shard");
-    const std::string out_path =
-        ::testing::TempDir() + "cli_screen_results.shard";
+    const std::string out_path = tempPath("cli_screen_results.shard");
     std::string out;
     EXPECT_EQ(runCli({"screen", "--format", "log", "-o",
                       out_path.c_str(), path.c_str()},
@@ -490,8 +481,7 @@ TEST(Cli, ScreenPersistsSkippedFlagsInTheResultShard)
 TEST(Cli, QueueCapEnvIsStrictlyParsed)
 {
     const std::string path = makeShard("cli_queuecap.shard");
-    const std::string plan_path =
-        ::testing::TempDir() + "cli_queuecap_plan.bin";
+    const std::string plan_path = tempPath("cli_queuecap_plan.bin");
 
     // A valid override lands in the built plan.
     ::setenv("PSTAT_QUEUE_CAP", "7", 1);

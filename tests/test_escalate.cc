@@ -51,6 +51,7 @@
 #include "pbd/screen.hh"
 #include "prop_util.hh"
 #include "stats/rng.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -60,6 +61,7 @@ using engine::AdaptiveBatch;
 using engine::CertConfig;
 using engine::EscalationResult;
 using engine::Ladder;
+using test::tempPath;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -425,9 +427,8 @@ TEST(DiffEscalate, AdaptiveStreamMatchesBatch)
         const size_t end = (s + 1) * total / kShards;
         shard_columns[s].assign(set.columns.begin() + begin,
                                 set.columns.begin() + end);
-        const std::string path = ::testing::TempDir() +
-                                 "escalate_stream_" +
-                                 std::to_string(s) + ".shard";
+        const std::string path =
+            tempPath("escalate_stream_" + std::to_string(s) + ".shard");
         io::writeColumnShard(path, shard_columns[s]);
         paths.push_back(path);
     }

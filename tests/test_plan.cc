@@ -31,17 +31,14 @@
 #include "io/shard.hh"
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
+#include "test_util.hh"
 
 namespace
 {
 
 using namespace pstat;
 
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using pstat::test::tempPath;
 
 /** A fully-populated plan exercising every serialized field. */
 engine::EvalPlan
@@ -331,12 +328,14 @@ class PlanIdentity : public ::testing::Test
                 tempPath("plan_identity_" + std::to_string(s) +
                          ".shard");
             const size_t half = dataset_->size() / 2;
-            io::writeColumnShard(
-                path,
-                std::vector<pbd::Column>(
-                    dataset_->begin() + (s == 0 ? 0 : half),
-                    s == 0 ? dataset_->begin() + half
-                           : dataset_->end()));
+            test::writeThenRename(path, [&](const std::string &partial) {
+                io::writeColumnShard(
+                    partial,
+                    std::vector<pbd::Column>(
+                        dataset_->begin() + (s == 0 ? 0 : half),
+                        s == 0 ? dataset_->begin() + half
+                               : dataset_->end()));
+            });
             shard_paths_->push_back(path);
         }
     }

@@ -41,6 +41,7 @@
 #include "serve/client.hh"
 #include "serve/frame.hh"
 #include "serve/server.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -101,11 +102,7 @@ makeRequest(uint64_t id, int columns,
     return request;
 }
 
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using pstat::test::tempPath;
 
 /** Poll `done` for up to `budget`; returns its final verdict. */
 bool

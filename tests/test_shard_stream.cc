@@ -29,17 +29,14 @@
 #include "io/shard.hh"
 #include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
+#include "test_util.hh"
 
 namespace
 {
 
 using namespace pstat;
 
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using pstat::test::tempPath;
 
 /** Write `count` small column shards; returns their paths. */
 std::vector<std::string>
@@ -58,7 +55,9 @@ writeColumnShards(const std::string &stem, int count,
             config, stem + std::to_string(s));
         const std::string path =
             tempPath(stem + std::to_string(s) + ".shard");
-        io::writeColumnShard(path, dataset.columns);
+        test::writeThenRename(path, [&](const std::string &partial) {
+            io::writeColumnShard(partial, dataset.columns);
+        });
         paths.push_back(path);
     }
     return paths;

@@ -13,6 +13,7 @@
 #include "stats/rng.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -286,7 +287,7 @@ TEST(Table, CsvWrite)
 {
     TextTable t({"a", "b"});
     t.addRow({"1", "2"});
-    const std::string path = "/tmp/pstat_test_table.csv";
+    const std::string path = pstat::test::tempPath("table.csv");
     ASSERT_TRUE(t.writeCsv(path));
     std::FILE *f = std::fopen(path.c_str(), "r");
     ASSERT_NE(f, nullptr);
