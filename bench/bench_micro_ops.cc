@@ -17,6 +17,8 @@
 #include "core/logspace.hh"
 #include "core/posit.hh"
 #include "core/simd.hh"
+#include "hmm/forward.hh"
+#include "hmm/generator.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/pbd_simd.hh"
@@ -165,6 +167,74 @@ BM_PositMul(benchmark::State &state)
 }
 BENCHMARK(BM_PositMul<9>);
 BENCHMARK(BM_PositMul<18>);
+
+// The same chains on decoded posits, the form the HMM kernels compute
+// in: no unpack or pack around each operation.
+template <int ES>
+void
+BM_PositDecodedAdd(benchmark::State &state)
+{
+    using P = Posit<64, ES>;
+    using D = typename P::Decoded;
+    auto pool =
+        makePool<D>([](double v) { return D(P::fromDouble(v)); });
+    size_t i = 0;
+    D acc = D::zero();
+    for (auto _ : state) {
+        acc = acc + pool[i % pool_size];
+        ++i;
+        benchmark::DoNotOptimize(acc);
+    }
+}
+BENCHMARK(BM_PositDecodedAdd<18>);
+
+template <int ES>
+void
+BM_PositDecodedMul(benchmark::State &state)
+{
+    using P = Posit<64, ES>;
+    using D = typename P::Decoded;
+    auto pool = makePool<D>(
+        [](double v) { return D(P::fromDouble(v + 0.5)); });
+    size_t i = 0;
+    D acc = D(P::one());
+    for (auto _ : state) {
+        acc = acc * pool[i % pool_size];
+        ++i;
+        benchmark::DoNotOptimize(acc);
+    }
+}
+BENCHMARK(BM_PositDecodedMul<18>);
+
+/**
+ * One Forward sequence per iteration, H = 13 and T = 1500 as in
+ * perfbench's hmm-forward, in the Accelerator dataflow that workload
+ * runs: the tree reduction for posits, the n-ary log-sum-exp of
+ * Listing 3 for LogDouble.
+ */
+template <typename T>
+void
+BM_HmmForward(benchmark::State &state)
+{
+    stats::Rng rng(9001);
+    const hmm::Model model =
+        hmm::makePhyloModel(rng, hmm::PhyloConfig{});
+    const std::vector<int> obs =
+        hmm::sampleUniformObservations(rng, model.num_symbols, 1500);
+    for (auto _ : state) {
+        if constexpr (std::is_same_v<T, LogDouble>) {
+            benchmark::DoNotOptimize(
+                hmm::forwardLogNary(model, obs).likelihood);
+        } else {
+            benchmark::DoNotOptimize(
+                hmm::forward<T>(model, obs, hmm::Reduction::Tree)
+                    .likelihood);
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HmmForward<Posit64es18>)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_HmmForward<LogDouble>)->Unit(benchmark::kMicrosecond);
 
 void
 BM_ScaledDdMul(benchmark::State &state)

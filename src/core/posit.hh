@@ -12,6 +12,12 @@
  * bit patterns are monotone in value, rounding carries propagate
  * correctly from fraction into exponent and regime.
  *
+ * Each operation is one core (addCore, mulCore, ...) that returns the
+ * unrounded result, and one of two finishers: pack() encodes it to a
+ * bit pattern, round() returns the decoded form of that pattern.
+ * PositDecoded chains operations through round(), so kernels that
+ * hold posits decoded encode each result once.
+ *
  * Special values follow the posit standard: a single 0, a single NaR
  * (1 followed by zeros); no subnormals, no signed zero. Values beyond
  * +-maxpos clamp to +-maxpos, nonzero values below minpos clamp to
@@ -32,6 +38,9 @@
 
 namespace pstat
 {
+
+template <int N, int ES>
+class PositDecoded;
 
 /**
  * An N-bit posit with at most ES exponent bits.
@@ -59,6 +68,9 @@ class Posit
     /** Maximum number of fraction bits any encoding can carry. */
     static constexpr int max_fraction_bits =
         (N - 3 - ES) > 0 ? (N - 3 - ES) : 0;
+
+    /** The decoded form kernels compute in (see PositDecoded). */
+    using Decoded = PositDecoded<N, ES>;
 
     /** Constructs zero. */
     constexpr Posit() = default;
@@ -154,6 +166,20 @@ class Posit
     }
 
     /**
+     * An arithmetic core's exact-then-truncated result, before
+     * rounding: value = (-1)^negative * (sig + f) * 2^(scale-63) for
+     * some f in [0, 1), with f != 0 exactly when sticky is set. sig
+     * has its MSB set, or is 0 for an exact zero.
+     */
+    struct Unrounded
+    {
+        bool negative;
+        int64_t scale;
+        uint64_t sig;
+        bool sticky;
+    };
+
+    /**
      * Encode with correct RNE rounding.
      *
      * @param negative sign of the value
@@ -179,41 +205,26 @@ class Posit
         const auto e =
             static_cast<uint64_t>(scale - (k << ES)); // 0..2^ES-1
 
-        // Assemble regime | exponent | fraction left-aligned in a
-        // 128-bit window; bits pushed past the window feed sticky.
-        U128 window = 0;
-        int used = 0;
+        // Regime | exponent | fraction, left-aligned in a 128-bit
+        // window. The regime is run ones then a zero (k >= 0) or run
+        // zeros then a one; run <= N-2, so it always fits.
+        const int run = k >= 0 ? static_cast<int>(k) + 1
+                               : static_cast<int>(-k);
+        const U128 regime = k >= 0 ? ~U128{0} << (128 - run)
+                                   : U128{1} << (127 - run);
+        // The ES + 63 exponent and fraction bits follow the regime's
+        // run + 1 bits; any that fall past the window feed sticky.
+        const U128 tail = (static_cast<U128>(e) << 63) |
+                          (sig & ((uint64_t{1} << 63) - 1));
+        const int shift = 64 - run - ES;
+        U128 window = regime;
         bool stk = sticky;
-        auto append = [&window, &used, &stk](uint64_t value, int width) {
-            if (width <= 0)
-                return;
-            const int shift = 128 - used - width;
-            if (shift >= 0) {
-                window |= static_cast<U128>(value) << shift;
-            } else {
-                const int drop = -shift;
-                if (drop >= width) {
-                    stk = stk || value != 0;
-                } else {
-                    window |= static_cast<U128>(value) >> drop;
-                    stk = stk ||
-                          (value & ((uint64_t{1} << drop) - 1)) != 0;
-                }
-            }
-            used += width;
-        };
-
-        if (k >= 0) {
-            const int run = static_cast<int>(k) + 1; // <= N-2 <= 62
-            append((~uint64_t{0}) >> (64 - run), run);
-            append(0, 1);
+        if (shift >= 0) {
+            window |= tail << shift;
         } else {
-            const int run = static_cast<int>(-k); // <= N-2
-            append(0, run);
-            append(1, 1);
+            window |= tail >> -shift;
+            stk = stk || (tail & ((U128{1} << -shift) - 1)) != 0;
         }
-        append(e, ES);
-        append(sig & ((uint64_t{1} << 63) - 1), 63);
 
         // Cut at N-1 bits; round to nearest, ties to even pattern.
         auto body =
@@ -229,6 +240,46 @@ class Posit
         if (negative)
             pattern = (0 - pattern) & patternMask();
         return fromBits(pattern);
+    }
+
+    /** Encode a core's result with correct RNE rounding. */
+    static constexpr Posit
+    pack(const Unrounded &r)
+    {
+        return pack(r.negative, r.scale, r.sig, r.sticky);
+    }
+
+    /**
+     * Round a core's nonzero result and return it decoded: exactly
+     * pack(r).unpack(), without building the bit pattern when the
+     * cut falls inside the fraction with at least one fraction bit
+     * kept. There, RNE on the pattern is RNE on sig, and a carry out
+     * of the kept bits gives 2^(scale+1), which is representable.
+     * Saturation and cuts inside the exponent or the regime take the
+     * pack().unpack() path.
+     */
+    static constexpr Unpacked
+    round(const Unrounded &r)
+    {
+        assert((r.sig >> 63) == 1 && "significand must be normalized");
+        const int64_t k = r.scale >> ES;
+        const int64_t run = k >= 0 ? k + 1 : -k;
+        const int64_t fraction_bits = (N - 1) - (run + 1) - ES;
+        if (fraction_bits >= 1) {
+            const int drop = 63 - static_cast<int>(fraction_bits);
+            const uint64_t half = uint64_t{1} << (drop - 1);
+            const uint64_t dropped = r.sig & ((half << 1) - 1);
+            uint64_t sig = r.sig - dropped;
+            const bool odd = ((r.sig >> drop) & 1) != 0;
+            if (dropped > half ||
+                (dropped == half && (r.sticky || odd))) {
+                sig += half << 1;
+                if (sig == 0)
+                    return {r.negative, r.scale + 1, uint64_t{1} << 63};
+            }
+            return {r.negative, r.scale, sig};
+        }
+        return pack(r).unpack();
     }
 
     /** @name Conversions */
@@ -292,21 +343,16 @@ class Posit
     }
     /// @}
 
-    /** @name Arithmetic */
+    /**
+     * @name Arithmetic cores
+     * Exact-then-truncate on finite nonzero operands; pack() or
+     * round() finishes the result. The operators below and
+     * PositDecoded share these, so both round identically.
+     */
     /// @{
-    friend Posit
-    operator+(const Posit &a, const Posit &b)
+    static constexpr Unrounded
+    addCore(const Unpacked &ua, const Unpacked &ub)
     {
-        if (a.isNaR() || b.isNaR())
-            return nar();
-        if (a.isZero())
-            return b;
-        if (b.isZero())
-            return a;
-
-        const Unpacked ua = a.unpack();
-        const Unpacked ub = b.unpack();
-
         // Order by magnitude so the subtract path cannot go negative.
         const bool a_is_hi =
             ua.scale != ub.scale ? ua.scale > ub.scale
@@ -328,7 +374,6 @@ class Posit
             small >>= diff;
         }
 
-        bool negative = hi.negative;
         int64_t scale = hi.scale;
         if (ua.negative == ub.negative) {
             const U128 before = acc;
@@ -345,135 +390,55 @@ class Posit
                 // borrow one and let sticky mark the in-between value.
                 acc -= 1;
             }
-            if (acc == 0)
-                return zero(); // sticky cannot be set here (diff<65)
+            if (acc == 0) // sticky cannot be set here (diff<65)
+                return {false, 0, 0, false};
             const int lz = countLeadingZeros128(acc);
             acc <<= lz;
             scale -= lz;
         }
 
-        const auto sig = static_cast<uint64_t>(acc >> 64);
-        sticky = sticky || static_cast<uint64_t>(acc) != 0;
-        return pack(negative, scale, sig, sticky);
+        return {hi.negative, scale, static_cast<uint64_t>(acc >> 64),
+                sticky || static_cast<uint64_t>(acc) != 0};
     }
 
-    friend Posit
-    operator-(const Posit &a, const Posit &b)
+    static constexpr Unrounded
+    mulCore(const Unpacked &ua, const Unpacked &ub)
     {
-        return a + (-b);
-    }
-
-    friend Posit
-    operator*(const Posit &a, const Posit &b)
-    {
-        if (a.isNaR() || b.isNaR())
-            return nar();
-        if (a.isZero() || b.isZero())
-            return zero();
-
-        const Unpacked ua = a.unpack();
-        const Unpacked ub = b.unpack();
         const U128 prod = static_cast<U128>(ua.sig) * ub.sig;
         const bool negative = ua.negative != ub.negative;
-
-        int64_t scale = ua.scale + ub.scale;
-        uint64_t sig = 0;
-        bool sticky = false;
-        if ((prod >> 127) != 0) {
-            sig = static_cast<uint64_t>(prod >> 64);
-            sticky = static_cast<uint64_t>(prod) != 0;
-            scale += 1;
-        } else {
-            sig = static_cast<uint64_t>(prod >> 63);
-            sticky = (static_cast<uint64_t>(prod) &
-                      ((uint64_t{1} << 63) - 1)) != 0;
-        }
-        return pack(negative, scale, sig, sticky);
+        const int64_t scale = ua.scale + ub.scale;
+        if ((prod >> 127) != 0)
+            return {negative, scale + 1,
+                    static_cast<uint64_t>(prod >> 64),
+                    static_cast<uint64_t>(prod) != 0};
+        return {negative, scale, static_cast<uint64_t>(prod >> 63),
+                (static_cast<uint64_t>(prod) &
+                 ((uint64_t{1} << 63) - 1)) != 0};
     }
 
-    friend Posit
-    operator/(const Posit &a, const Posit &b)
+    static constexpr Unrounded
+    divCore(const Unpacked &ua, const Unpacked &ub)
     {
-        if (a.isNaR() || b.isNaR() || b.isZero())
-            return nar();
-        if (a.isZero())
-            return zero();
-
-        const Unpacked ua = a.unpack();
-        const Unpacked ub = b.unpack();
         const bool negative = ua.negative != ub.negative;
-
         const U128 num = static_cast<U128>(ua.sig) << 64;
         const U128 q = num / ub.sig;
         const bool rem = (num % ub.sig) != 0;
 
         // sigA/sigB in (1/2, 2) => q in (2^63, 2^65).
-        int64_t scale = ua.scale - ub.scale;
-        uint64_t sig = 0;
-        bool sticky = rem;
-        if ((q >> 64) != 0) {
-            sig = static_cast<uint64_t>(q >> 1);
-            sticky = sticky || (q & 1) != 0;
-        } else {
-            sig = static_cast<uint64_t>(q);
-            scale -= 1;
-        }
-        return pack(negative, scale, sig, sticky);
+        const int64_t scale = ua.scale - ub.scale;
+        if ((q >> 64) != 0)
+            return {negative, scale, static_cast<uint64_t>(q >> 1),
+                    rem || (q & 1) != 0};
+        return {negative, scale - 1, static_cast<uint64_t>(q), rem};
     }
 
     /**
-     * Correctly rounded square root. NaR for negative input or NaR;
-     * exact integer square root of the significand with a sticky
-     * remainder, so rounding is a true RNE of the infinite result.
+     * a * b + c with one rounding: the exact 128-bit product is
+     * aligned against c before any rounding happens.
      */
-    static Posit
-    sqrt(const Posit &x)
+    static Unrounded
+    fmaCore(const Unpacked &ua, const Unpacked &ub, const Unpacked &uc)
     {
-        if (x.isNaR() || x.isNegative())
-            return nar();
-        if (x.isZero())
-            return zero();
-        const Unpacked u = x.unpack();
-        const int64_t e = u.scale;
-        const int odd = static_cast<int>(e & 1);
-        // value = sig * 2^(e-63); fold parity into the radicand so
-        // the remaining exponent is even: isqrt(sig << (63+odd)).
-        const U128 radicand = static_cast<U128>(u.sig) << (63 + odd);
-
-        // Newton from a double seed, then exact floor adjustment.
-        auto q = static_cast<uint64_t>(std::sqrt(
-            std::ldexp(static_cast<double>(u.sig), 63 + odd - 64) *
-            18446744073709551616.0));
-        for (int i = 0; i < 4; ++i) {
-            const uint64_t div =
-                static_cast<uint64_t>(radicand / q);
-            q = (q >> 1) + (div >> 1) + (q & div & 1);
-        }
-        while (static_cast<U128>(q) * q > radicand)
-            --q;
-        while (static_cast<U128>(q + 1) * (q + 1) <= radicand)
-            ++q;
-        const bool sticky = static_cast<U128>(q) * q != radicand;
-
-        // q = floor(sqrt(value) * 2^63) with q in [2^63, 2^64).
-        return pack(false, (e - odd) >> 1, q, sticky);
-    }
-
-    /**
-     * Fused multiply-add: a * b + c with a single rounding at the
-     * end (the exact 128-bit product is aligned against c before
-     * any rounding happens).
-     */
-    static Posit
-    fma(const Posit &a, const Posit &b, const Posit &c)
-    {
-        if (a.isNaR() || b.isNaR() || c.isNaR())
-            return nar();
-        if (a.isZero() || b.isZero())
-            return c;
-
-        const Unpacked ua = a.unpack();
-        const Unpacked ub = b.unpack();
         U128 prod = static_cast<U128>(ua.sig) * ub.sig;
         int64_t scale_p = ua.scale + ub.scale;
         if ((prod >> 127) != 0)
@@ -481,14 +446,6 @@ class Posit
         else
             prod <<= 1; // normalize: top bit at 127
         const bool neg_p = ua.negative != ub.negative;
-
-        if (c.isZero()) {
-            const auto sig = static_cast<uint64_t>(prod >> 64);
-            const bool sticky = static_cast<uint64_t>(prod) != 0;
-            return pack(neg_p, scale_p, sig, sticky);
-        }
-
-        const Unpacked uc = c.unpack();
         const U128 caug = static_cast<U128>(uc.sig) << 64;
 
         // Order by magnitude (both normalized with bit 127 set).
@@ -532,22 +489,119 @@ class Posit
                 // implies the scales differed by at most one, so the
                 // exact difference fits the 256-bit oracle).
                 if (acc < (static_cast<U128>(1) << 126)) {
-                    return fromBigFloat(a.toBigFloat() *
-                                            b.toBigFloat() +
-                                        c.toBigFloat());
+                    const auto big = [](const Unpacked &u) {
+                        return BigFloat::fromSig64(u.negative, u.scale,
+                                                   u.sig);
+                    };
+                    const BigFloat exact = big(ua) * big(ub) + big(uc);
+                    if (exact.isZero())
+                        return {false, 0, 0, false};
+                    const BigFloat::Top64 t = exact.top64();
+                    return {t.negative, t.exp2, t.sig, t.sticky};
                 }
                 acc -= 1;
             }
             if (acc == 0)
-                return zero();
+                return {false, 0, 0, false};
             const int lz = countLeadingZeros128(acc);
             acc <<= lz;
             scale -= lz;
         }
 
-        const auto sig = static_cast<uint64_t>(acc >> 64);
-        sticky = sticky || static_cast<uint64_t>(acc) != 0;
-        return pack(neg_hi, scale, sig, sticky);
+        return {neg_hi, scale, static_cast<uint64_t>(acc >> 64),
+                sticky || static_cast<uint64_t>(acc) != 0};
+    }
+    /// @}
+
+    /** @name Arithmetic */
+    /// @{
+    friend Posit
+    operator+(const Posit &a, const Posit &b)
+    {
+        if (a.isNaR() || b.isNaR())
+            return nar();
+        if (a.isZero())
+            return b;
+        if (b.isZero())
+            return a;
+        return pack(addCore(a.unpack(), b.unpack()));
+    }
+
+    friend Posit
+    operator-(const Posit &a, const Posit &b)
+    {
+        return a + (-b);
+    }
+
+    friend Posit
+    operator*(const Posit &a, const Posit &b)
+    {
+        if (a.isNaR() || b.isNaR())
+            return nar();
+        if (a.isZero() || b.isZero())
+            return zero();
+        return pack(mulCore(a.unpack(), b.unpack()));
+    }
+
+    friend Posit
+    operator/(const Posit &a, const Posit &b)
+    {
+        if (a.isNaR() || b.isNaR() || b.isZero())
+            return nar();
+        if (a.isZero())
+            return zero();
+        return pack(divCore(a.unpack(), b.unpack()));
+    }
+
+    /**
+     * Correctly rounded square root. NaR for negative input or NaR;
+     * exact integer square root of the significand with a sticky
+     * remainder, so rounding is a true RNE of the infinite result.
+     */
+    static Posit
+    sqrt(const Posit &x)
+    {
+        if (x.isNaR() || x.isNegative())
+            return nar();
+        if (x.isZero())
+            return zero();
+        const Unpacked u = x.unpack();
+        const int64_t e = u.scale;
+        const int odd = static_cast<int>(e & 1);
+        // value = sig * 2^(e-63); fold parity into the radicand so
+        // the remaining exponent is even: isqrt(sig << (63+odd)).
+        const U128 radicand = static_cast<U128>(u.sig) << (63 + odd);
+
+        // Newton from a double seed, then exact floor adjustment.
+        auto q = static_cast<uint64_t>(std::sqrt(
+            std::ldexp(static_cast<double>(u.sig), 63 + odd - 64) *
+            18446744073709551616.0));
+        for (int i = 0; i < 4; ++i) {
+            const uint64_t div =
+                static_cast<uint64_t>(radicand / q);
+            q = (q >> 1) + (div >> 1) + (q & div & 1);
+        }
+        while (static_cast<U128>(q) * q > radicand)
+            --q;
+        while (static_cast<U128>(q + 1) * (q + 1) <= radicand)
+            ++q;
+        const bool sticky = static_cast<U128>(q) * q != radicand;
+
+        // q = floor(sqrt(value) * 2^63) with q in [2^63, 2^64).
+        return pack(false, (e - odd) >> 1, q, sticky);
+    }
+
+    /** Fused multiply-add: a * b + c with a single rounding. */
+    static Posit
+    fma(const Posit &a, const Posit &b, const Posit &c)
+    {
+        if (a.isNaR() || b.isNaR() || c.isNaR())
+            return nar();
+        if (a.isZero() || b.isZero())
+            return c;
+        if (c.isZero())
+            return a * b;
+        return pack(fmaCore(a.unpack(), b.unpack(), c.unpack()));
     }
 
     constexpr Posit
@@ -659,6 +713,163 @@ class Posit
     }
 
     int64_t bits_ = 0; //!< sign-extended N-bit pattern
+};
+
+/**
+ * A posit held decoded between operations.
+ *
+ * Its arithmetic is Posit's: the same cores, finished by
+ * Posit::round() instead of pack(), so every result is the decoded
+ * form of the Posit operator's result. A chain of operations on
+ * PositDecoded values skips the unpack and pack around each one and
+ * is bit-identical to the same chain on Posit. The kernels in src/hmm
+ * compute in this type (WorkScalar in core/real_traits.hh) and encode
+ * each result once.
+ *
+ * A value is zero, NaR, or a finite nonzero Posit::Unpacked.
+ */
+template <int N, int ES>
+class PositDecoded
+{
+  public:
+    /** The encoded format. */
+    using P = Posit<N, ES>;
+    /** Finite nonzero fields: sign, scale, normalized significand. */
+    using Unpacked = typename P::Unpacked;
+
+    /** Constructs zero. */
+    constexpr PositDecoded() = default;
+
+    /** Decode a posit. */
+    constexpr explicit PositDecoded(const P &p)
+    {
+        if (p.isNaR())
+            u_.negative = true;
+        else if (!p.isZero())
+            u_ = p.unpack();
+    }
+
+    /** Encode; exact, since every value is a posit. */
+    constexpr P
+    toPosit() const
+    {
+        if (isZero())
+            return P::zero();
+        if (isNaR())
+            return P::nar();
+        return P::pack(u_.negative, u_.scale, u_.sig, false);
+    }
+
+    static constexpr PositDecoded zero() { return PositDecoded(); }
+    static constexpr PositDecoded
+    nar()
+    {
+        PositDecoded d;
+        d.u_.negative = true;
+        return d;
+    }
+
+    constexpr bool
+    isZero() const
+    {
+        return u_.sig == 0 && !u_.negative;
+    }
+    constexpr bool isNaR() const { return u_.sig == 0 && u_.negative; }
+
+    /** The fields of a finite nonzero value. */
+    constexpr const Unpacked &
+    unpacked() const
+    {
+        assert(u_.sig != 0);
+        return u_;
+    }
+
+    friend constexpr PositDecoded
+    operator+(const PositDecoded &a, const PositDecoded &b)
+    {
+        if (a.isSpecial() || b.isSpecial()) {
+            if (a.isNaR() || b.isNaR())
+                return nar();
+            return a.isZero() ? b : a;
+        }
+        return finish(P::addCore(a.u_, b.u_));
+    }
+
+    friend constexpr PositDecoded
+    operator-(const PositDecoded &a, const PositDecoded &b)
+    {
+        return a + (-b);
+    }
+
+    friend constexpr PositDecoded
+    operator*(const PositDecoded &a, const PositDecoded &b)
+    {
+        if (a.isSpecial() || b.isSpecial())
+            return a.isNaR() || b.isNaR() ? nar() : zero();
+        return finish(P::mulCore(a.u_, b.u_));
+    }
+
+    constexpr PositDecoded
+    operator-() const
+    {
+        PositDecoded d = *this;
+        if (!isSpecial())
+            d.u_.negative = !d.u_.negative;
+        return d;
+    }
+
+    constexpr PositDecoded
+    abs() const
+    {
+        PositDecoded d = *this;
+        if (!isSpecial())
+            d.u_.negative = false;
+        return d;
+    }
+
+    /** Posit's total order: NaR, negatives, zero, positives. */
+    friend constexpr bool
+    operator<(const PositDecoded &a, const PositDecoded &b)
+    {
+        const int ra = a.rank();
+        const int rb = b.rank();
+        if (ra != rb)
+            return ra < rb;
+        if (ra == 1)
+            return magnitudeLess(b.u_, a.u_);
+        return ra == 3 && magnitudeLess(a.u_, b.u_);
+    }
+
+  private:
+    constexpr bool isSpecial() const { return u_.sig == 0; }
+
+    /** 0 NaR, 1 negative, 2 zero, 3 positive. */
+    constexpr int
+    rank() const
+    {
+        if (isSpecial())
+            return u_.negative ? 0 : 2;
+        return u_.negative ? 1 : 3;
+    }
+
+    static constexpr bool
+    magnitudeLess(const Unpacked &x, const Unpacked &y)
+    {
+        return x.scale != y.scale ? x.scale < y.scale : x.sig < y.sig;
+    }
+
+    static constexpr PositDecoded
+    finish(const typename P::Unrounded &r)
+    {
+        PositDecoded d;
+        if (r.sig != 0)
+            d.u_ = P::round(r);
+        return d;
+    }
+
+    // sig == 0 marks the two specials: zero (negative false) and NaR
+    // (negative true).
+    Unpacked u_{false, 0, 0};
 };
 
 /** The paper's three studied 64-bit configurations. */

@@ -8,6 +8,8 @@
  * format families the paper compares — binary64, log-space binary64,
  * LNS, posits, and the oracles — plus the reduced-precision tier:
  * binary32, log-space binary32, posit(32,2), and bfloat16.
+ * WorkScalar<T> names the type a kernel computes in for format T:
+ * T itself, or the decoded form for posits.
  */
 
 #ifndef PSTAT_CORE_REAL_TRAITS_HH
@@ -189,6 +191,38 @@ struct RealTraits<Posit<N, ES>>
     static bool isInvalid(const P &v) { return v.isNaR(); }
 };
 
+/** A posit held decoded between operations (PositDecoded). */
+template <int N, int ES>
+struct RealTraits<PositDecoded<N, ES>>
+{
+    /** The posit configuration this form decodes. */
+    using P = Posit<N, ES>;
+    /** The decoded form. */
+    using D = PositDecoded<N, ES>;
+    /** Display name, the posit's. */
+    static std::string name() { return P::name(); }
+    /** Additive identity. */
+    static D zero() { return D::zero(); }
+    /** Multiplicative identity. */
+    static D one() { return D(P::one()); }
+    /** Correctly rounded conversion from binary64. */
+    static D fromDouble(double v) { return D(P::fromDouble(v)); }
+    /** Correctly rounded conversion from the oracle. */
+    static D fromBigFloat(const BigFloat &v)
+    {
+        return D(P::fromBigFloat(v));
+    }
+    /** Exact conversion to the oracle. */
+    static BigFloat toBigFloat(const D &v)
+    {
+        return v.toPosit().toBigFloat();
+    }
+    /** True for the single posit zero. */
+    static bool isZero(const D &v) { return v.isZero(); }
+    /** True for NaR. */
+    static bool isInvalid(const D &v) { return v.isNaR(); }
+};
+
 /** 64-bit fixed-point LNS (Section VII related work). */
 template <>
 struct RealTraits<Lns64>
@@ -313,6 +347,41 @@ struct RealTraits<BigFloat>
     /** True for NaN. */
     static bool isInvalid(const BigFloat &v) { return v.isNaN(); }
 };
+
+/**
+ * The scalar a kernel computes in for format T, and the conversions
+ * at the kernel's edges: load() when the inputs are converted, store()
+ * for the result. It is T for every format except posits, which
+ * kernels hold decoded (Posit::Decoded) between operations and encode
+ * once per result. The arithmetic is the same, so results are
+ * bit-identical to computing in T.
+ */
+template <typename T>
+struct WorkScalar
+{
+    /** The kernel's scalar type. */
+    using type = T;
+    /** Identity. */
+    static const T &load(const T &v) { return v; }
+    /** Identity. */
+    static const T &store(const T &v) { return v; }
+};
+
+/** Posits compute decoded. */
+template <int N, int ES>
+struct WorkScalar<Posit<N, ES>>
+{
+    /** The kernel's scalar type. */
+    using type = PositDecoded<N, ES>;
+    /** Decode. */
+    static type load(const Posit<N, ES> &v) { return type(v); }
+    /** Encode (exact). */
+    static Posit<N, ES> store(const type &v) { return v.toPosit(); }
+};
+
+/** Shorthand for WorkScalar<T>::type. */
+template <typename T>
+using WorkOf = typename WorkScalar<T>::type;
 
 } // namespace pstat
 

@@ -25,39 +25,12 @@
 #include <span>
 #include <vector>
 
-#include "core/compensated.hh"
 #include "core/real_traits.hh"
 #include "hmm/forward.hh"
 #include "hmm/model.hh"
 
 namespace pstat::hmm
 {
-
-/**
- * Reduce a scratch buffer under a Reduction policy. Tree clobbers the
- * buffer (pairwise in place); Sequential/Compensated only read it.
- * Compensated falls back to Sequential for formats without
- * subtraction (the log-domain scalars), exactly like forward<T>().
- */
-template <typename T>
-T
-reduceWith(std::span<T> terms, Reduction reduction)
-{
-    if (reduction == Reduction::Tree)
-        return reduceTree(terms);
-    if (reduction == Reduction::Compensated) {
-        if constexpr (Compensable<T>) {
-            NeumaierSum<T> acc;
-            for (const T &v : terms)
-                acc.add(v);
-            return acc.value();
-        }
-    }
-    T sum = RealTraits<T>::zero();
-    for (const T &v : terms)
-        sum = sum + v;
-    return sum;
-}
 
 /** Result of a backward run in scalar type T. */
 template <typename T>
@@ -84,23 +57,19 @@ BackwardOutcome<T>
 backward(const Model &model, std::span<const int> obs,
          Reduction reduction = Reduction::Sequential)
 {
-    using RT = RealTraits<T>;
+    using W = WorkOf<T>;
     const int h = model.num_states;
     BackwardOutcome<T> out;
     if (obs.empty())
         return out;
 
-    // Convert inputs once, as an accelerator would at load time.
-    std::vector<T> a(static_cast<size_t>(h) * h);
-    for (size_t i = 0; i < a.size(); ++i)
-        a[i] = RT::fromDouble(model.a[i]);
-    std::vector<T> b(model.b.size());
-    for (size_t i = 0; i < b.size(); ++i)
-        b[i] = RT::fromDouble(model.b[i]);
+    const std::vector<W> a = loadEntries<T>(model.a);
+    const std::vector<W> b = loadEntries<T>(model.b);
+    const std::vector<W> pi = loadEntries<T>(model.pi);
 
-    std::vector<T> beta(h);
-    std::vector<T> beta_prev(h, RT::one());
-    std::vector<T> terms(h);
+    std::vector<W> beta(h);
+    std::vector<W> beta_prev(h, RealTraits<W>::one());
+    std::vector<W> terms(h);
 
     for (size_t t = obs.size() - 1; t > 0; --t) {
         const int ot = obs[t];
@@ -111,14 +80,15 @@ backward(const Model &model, std::span<const int> obs,
                     b[static_cast<size_t>(q) * model.num_symbols + ot] *
                     beta_prev[q];
             }
-            beta[p] = reduceWith(std::span<T>(terms), reduction);
+            beta[p] = reduceWith(std::span<W>(terms), reduction);
         }
         std::swap(beta, beta_prev);
 
         if (out.first_underflow_step < 0) {
             bool all_zero = true;
             for (int p = 0; p < h; ++p)
-                all_zero = all_zero && RT::isZero(beta_prev[p]);
+                all_zero =
+                    all_zero && RealTraits<W>::isZero(beta_prev[p]);
             if (all_zero)
                 out.first_underflow_step = static_cast<int>(t - 1);
         }
@@ -126,11 +96,12 @@ backward(const Model &model, std::span<const int> obs,
 
     for (int q = 0; q < h; ++q) {
         terms[q] =
-            RT::fromDouble(model.pi[q]) *
+            pi[q] *
             b[static_cast<size_t>(q) * model.num_symbols + obs[0]] *
             beta_prev[q];
     }
-    out.likelihood = reduceWith(std::span<T>(terms), reduction);
+    out.likelihood = WorkScalar<T>::store(
+        reduceWith(std::span<W>(terms), reduction));
     return out;
 }
 

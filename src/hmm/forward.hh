@@ -9,6 +9,8 @@
  * chains), which is what straightforward log-space software does;
  * forwardLogNary() is the Listing-3 variant that uses the n-ary LSE
  * of Equation (3), matching the paper's accelerator dataflow.
+ * The kernels compute in WorkOf<T> (core/real_traits.hh): posits stay
+ * decoded between operations and are encoded once, for the result.
  *
  * The Reduction policy selects how the innermost accumulation (line 8
  * of Listing 1) is ordered: Sequential matches a software loop, Tree
@@ -95,73 +97,86 @@ reduceTree(std::vector<T> &buf)
 }
 
 /**
+ * Reduce a scratch buffer under a Reduction policy. Tree clobbers the
+ * buffer (pairwise in place); Sequential/Compensated only read it.
+ * Compensated falls back to Sequential for formats without
+ * subtraction (the log-domain scalars).
+ */
+template <typename T>
+T
+reduceWith(std::span<T> terms, Reduction reduction)
+{
+    if (reduction == Reduction::Tree)
+        return reduceTree(terms);
+    if (reduction == Reduction::Compensated) {
+        if constexpr (Compensable<T>) {
+            NeumaierSum<T> acc;
+            for (const T &v : terms)
+                acc.add(v);
+            return acc.value();
+        }
+    }
+    T sum = RealTraits<T>::zero();
+    for (const T &v : terms)
+        sum = sum + v;
+    return sum;
+}
+
+/**
+ * A model table (A, B or pi) as format T rounds it, converted once
+ * into the scalar the kernels compute in (WorkOf<T>), as an
+ * accelerator would at load time.
+ */
+template <typename T>
+std::vector<WorkOf<T>>
+loadEntries(std::span<const double> values)
+{
+    std::vector<WorkOf<T>> out(values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+        out[i] =
+            WorkScalar<T>::load(RealTraits<T>::fromDouble(values[i]));
+    }
+    return out;
+}
+
+/**
  * Listing 1: iteratively multiply-accumulate alpha states and return
- * the total likelihood P(O | lambda).
+ * the total likelihood P(O | lambda). Each state's path sum and the
+ * final sum follow the Reduction policy.
  */
 template <typename T>
 ForwardOutcome<T>
 forward(const Model &model, std::span<const int> obs,
         Reduction reduction = Reduction::Sequential)
 {
-    using RT = RealTraits<T>;
+    using W = WorkOf<T>;
     const int h = model.num_states;
     ForwardOutcome<T> out;
     if (obs.empty())
         return out;
 
-    // Convert inputs once, as an accelerator would at load time.
-    std::vector<T> a(static_cast<size_t>(h) * h);
-    for (size_t i = 0; i < a.size(); ++i)
-        a[i] = RT::fromDouble(model.a[i]);
-    std::vector<T> b(model.b.size());
-    for (size_t i = 0; i < b.size(); ++i)
-        b[i] = RT::fromDouble(model.b[i]);
+    const std::vector<W> a = loadEntries<T>(model.a);
+    const std::vector<W> b = loadEntries<T>(model.b);
+    const std::vector<W> pi = loadEntries<T>(model.pi);
 
-    std::vector<T> alpha(h);
-    std::vector<T> alpha_prev(h);
-    std::vector<T> terms(h);
+    std::vector<W> alpha(h);
+    std::vector<W> alpha_prev(h);
+    std::vector<W> terms(h);
     for (int q = 0; q < h; ++q) {
         alpha_prev[q] =
-            RT::fromDouble(model.pi[q]) *
+            pi[q] *
             b[static_cast<size_t>(q) * model.num_symbols + obs[0]];
     }
-
-    // Sequential / Compensated accumulation of one state's path sums
-    // (Tree is handled inline below, over the scratch buffer).
-    const auto accumulate = [&](int q) {
-        if (reduction == Reduction::Compensated) {
-            if constexpr (Compensable<T>) {
-                NeumaierSum<T> acc;
-                for (int p = 0; p < h; ++p)
-                    acc.add(alpha_prev[p] *
-                            a[static_cast<size_t>(p) * h + q]);
-                return acc.value();
-            }
-        }
-        T path_sum = RT::zero();
-        for (int p = 0; p < h; ++p) {
-            path_sum = path_sum +
-                       alpha_prev[p] *
-                           a[static_cast<size_t>(p) * h + q];
-        }
-        return path_sum;
-    };
 
     for (size_t t = 1; t < obs.size(); ++t) {
         const int ot = obs[t];
         for (int q = 0; q < h; ++q) {
-            T path_sum = RT::zero();
-            if (reduction == Reduction::Tree) {
-                for (int p = 0; p < h; ++p) {
-                    terms[p] = alpha_prev[p] *
-                               a[static_cast<size_t>(p) * h + q];
-                }
-                path_sum = reduceTree(terms);
-            } else {
-                path_sum = accumulate(q);
+            for (int p = 0; p < h; ++p) {
+                terms[p] = alpha_prev[p] *
+                           a[static_cast<size_t>(p) * h + q];
             }
             alpha[q] =
-                path_sum *
+                reduceWith(std::span<W>(terms), reduction) *
                 b[static_cast<size_t>(q) * model.num_symbols + ot];
         }
         std::swap(alpha, alpha_prev);
@@ -169,28 +184,15 @@ forward(const Model &model, std::span<const int> obs,
         if (out.first_underflow_step < 0) {
             bool all_zero = true;
             for (int q = 0; q < h; ++q)
-                all_zero = all_zero && RT::isZero(alpha_prev[q]);
+                all_zero =
+                    all_zero && RealTraits<W>::isZero(alpha_prev[q]);
             if (all_zero)
                 out.first_underflow_step = static_cast<int>(t);
         }
     }
 
-    if (reduction == Reduction::Tree) {
-        out.likelihood = reduceTree(alpha_prev);
-    } else if (reduction == Reduction::Compensated &&
-               Compensable<T>) {
-        if constexpr (Compensable<T>) {
-            NeumaierSum<T> total;
-            for (int q = 0; q < h; ++q)
-                total.add(alpha_prev[q]);
-            out.likelihood = total.value();
-        }
-    } else {
-        T total = RealTraits<T>::zero();
-        for (int q = 0; q < h; ++q)
-            total = total + alpha_prev[q];
-        out.likelihood = total;
-    }
+    out.likelihood = WorkScalar<T>::store(
+        reduceWith(std::span<W>(alpha_prev), reduction));
     return out;
 }
 

@@ -224,6 +224,42 @@ TEST(ServeFrame, ResponseBodyRoundTrips)
     EXPECT_TRUE(decoded.records[1].path.empty());
 }
 
+// An empty vector's data() may be null; decoding must not hand it to
+// memcpy (undefined even for zero bytes, and fatal under UBSan).
+TEST(ServeFrame, PathlessRecordRoundTrips)
+{
+    serve::ServeResponse response;
+    response.id = 11;
+    response.format_id = "binary64";
+    serve::ResponseRecord record;
+    record.exp = -7;
+    record.limbs = {5u, 6u, 7u, 8u};
+    response.records.push_back(record);
+
+    const serve::ServeResponse decoded = serve::decodeResponseBody(
+        serve::encodeResponseBody(response));
+
+    ASSERT_EQ(decoded.records.size(), 1u);
+    EXPECT_TRUE(decoded.records[0].path.empty());
+    EXPECT_EQ(decoded.records[0].exp, record.exp);
+    EXPECT_EQ(decoded.records[0].limbs, record.limbs);
+}
+
+TEST(ServeFrame, ZeroCoverageColumnRoundTrips)
+{
+    serve::ServeRequest request = makeRequest(12, 1);
+    request.columns.push_back({}); // no reads, k = 0
+
+    const serve::ServeRequest decoded = serve::decodeRequestBody(
+        serve::encodeRequestBody(request));
+
+    ASSERT_EQ(decoded.columns.size(), 2u);
+    EXPECT_EQ(decoded.columns[0].success_probs,
+              request.columns[0].success_probs);
+    EXPECT_TRUE(decoded.columns[1].success_probs.empty());
+    EXPECT_EQ(decoded.columns[1].k, 0);
+}
+
 TEST(ServeFrame, EveryRequestBodyTruncationIsTyped)
 {
     const auto body =
