@@ -373,7 +373,6 @@ main()
     sched_plan.sum = engine::PlanSum::Plain;
     engine::PlanInputs sched_inputs;
     sched_inputs.columns = cheap_ds.columns;
-    sched_inputs.format = &b64;
     const double per_index_ms =
         bench::timeStats(3, [&] {
             per_index.run(sched_plan, sched_inputs);

@@ -92,7 +92,6 @@ runFixedPlan(engine::EvalEngine &engine,
     plan.format_id = format.id();
     engine::PlanInputs inputs;
     inputs.columns = columns;
-    inputs.format = &format;
     return engine.run(plan, inputs).results;
 }
 
@@ -117,7 +116,6 @@ runAdaptivePlan(engine::EvalEngine &engine,
         plan.ladder_ids.push_back(tier->id());
     engine::PlanInputs inputs;
     inputs.columns = columns;
-    inputs.ladder = &ladder;
     return engine.run(plan, inputs).adaptive;
 }
 

@@ -91,7 +91,6 @@ main(int argc, char **argv)
         vit_plan.format_id = id;
         engine::PlanInputs inputs;
         inputs.jobs = jobs;
-        inputs.format = &format;
         const auto post = engine.run(post_plan, inputs).posteriors;
         const auto vit = engine.run(vit_plan, inputs).decodes[0];
         double worst = -400.0;

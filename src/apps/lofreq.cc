@@ -31,7 +31,6 @@ lofreqPValues(const engine::FormatOps &format,
                    : engine::PlanSum::Plain;
     engine::PlanInputs inputs;
     inputs.columns = dataset.columns;
-    inputs.format = &format;
     return engine.run(plan, inputs).results;
 }
 
@@ -60,7 +59,6 @@ lofreqPValuesScreened(const engine::FormatOps &format,
                    : engine::PlanSum::Plain;
     engine::PlanInputs inputs;
     inputs.columns = dataset.columns;
-    inputs.format = &format;
     return engine.run(plan, inputs).screened;
 }
 

@@ -559,8 +559,6 @@ EvalEngine::adaptiveEval(
     const CertConfig &cert,
     const std::optional<pbd::ScreenConfig> &screen, SumPolicy sum)
 {
-    if (ladder.tiers.empty())
-        throw std::invalid_argument("adaptive ladder is empty");
     validateCert(cert);
 
     AdaptiveBatch out;
@@ -715,13 +713,10 @@ EvalEngine::adaptiveEval(
 }
 
 AdaptiveBatch
-EvalEngine::forwardAdaptiveBatchImpl(const Ladder &ladder,
+EvalEngine::forwardAdaptiveStage(const Ladder &ladder,
                                  std::span<const ForwardJob> jobs,
-                                 const CertConfig &cert,
-                                 Dataflow dataflow)
+                                 const CertConfig &cert, Dataflow dataflow)
 {
-    if (ladder.tiers.empty())
-        throw std::invalid_argument("adaptive ladder is empty");
     validateCert(cert);
 
     const size_t n = jobs.size();

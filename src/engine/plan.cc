@@ -244,9 +244,8 @@ validatePlan(const EvalPlan &plan)
     const bool adaptive = plan.policy == PlanPolicy::Adaptive ||
                           plan.policy == PlanPolicy::ScreenedAdaptive;
 
-    // The supported kernel x source x policy matrix. Everything the
-    // legacy surface could express is expressible; everything else
-    // fails loudly here instead of deep inside a stage.
+    // The supported kernel x source x policy matrix: everything
+    // outside it fails loudly here instead of deep inside a stage.
     if (screened && plan.kernel != PlanKernel::PValue)
         invalid(std::string("the screen applies to the pvalue kernel "
                             "only, not ") +
@@ -417,6 +416,18 @@ encodePlan(const EvalPlan &plan)
     const uint32_t crc = io::crc32(0, out.data(), out.size());
     appendU64(out, crc);
     return out;
+}
+
+std::vector<uint8_t>
+encodePlanComputation(const EvalPlan &plan)
+{
+    EvalPlan computation = plan;
+    const EvalPlan defaults;
+    computation.threads = defaults.threads;
+    computation.grain = defaults.grain;
+    computation.simd = defaults.simd;
+    computation.queue_capacity = defaults.queue_capacity;
+    return encodePlan(computation);
 }
 
 EvalPlan

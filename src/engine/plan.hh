@@ -22,10 +22,10 @@
  *    summation policy and HMM dataflow.
  *
  * EvalEngine::run(plan, inputs) (eval_engine.hh) is the one pipeline
- * that executes a plan; every legacy entry point is now a thin
- * wrapper that builds the equivalent plan. A plan also has a
- * versioned binary encoding (encodePlan / decodePlan, shard-style
- * magic + version + CRC-32 trailer, see io/shard.hh) so the same
+ * that executes a plan, and the only evaluation entry point. A plan
+ * also has a versioned binary encoding (encodePlan / decodePlan,
+ * shard-style magic + version + CRC-32 trailer, see io/shard.hh) so
+ * the same
  * description can be dumped for debugging (`pstat eval --plan-dump`)
  * today and travel over a socket to a `pstat serve` daemon or a
  * `pstat work` worker unchanged tomorrow — which is exactly the
@@ -231,6 +231,15 @@ inline constexpr uint32_t plan_version = 1;
  * equal bytes (golden-tested).
  */
 std::vector<uint8_t> encodePlan(const EvalPlan &plan);
+
+/**
+ * The encodePlan bytes of what a plan computes: the plan with its
+ * provisioning knobs — threads, grain, simd, queue_capacity — reset
+ * to their defaults. Results are bit-identical across those knobs by
+ * contract, so two plans with equal keys produce identical results
+ * and may share one run (the serve daemon coalesces on this key).
+ */
+std::vector<uint8_t> encodePlanComputation(const EvalPlan &plan);
 
 /**
  * Decode an encoded plan. Throws PlanError on anything malformed:

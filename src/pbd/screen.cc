@@ -65,6 +65,18 @@ endpointPad(size_t n, double raw)
                       -40);
 }
 
+/**
+ * ln(x!) for x >= 0. lgamma_r, not std::lgamma: std::lgamma stores
+ * the sign in the process-wide `signgam`, a data race when engine
+ * lanes bound columns concurrently. Same value, bit for bit.
+ */
+double
+logFactorial(double x)
+{
+    int sign = 0;
+    return ::lgamma_r(x + 1.0, &sign);
+}
+
 } // namespace
 
 PValueBoundsLog2
@@ -97,9 +109,9 @@ certifiedBoundsLog2(const ColumnView &column)
         return {-kInf, -kInf};
     }
     const double log2_choose =
-        (std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0)) /
+        (logFactorial(static_cast<double>(n)) -
+         logFactorial(static_cast<double>(k)) -
+         logFactorial(static_cast<double>(n - k))) /
         std::log(2.0);
     hi = log2_choose +
          static_cast<double>(k) *

@@ -15,8 +15,9 @@
  * [offset, count) routes the flat record vector back to the
  * individual requests.
  *
- * Bound via PlanInputs::result_sink, so it tees alongside the
- * engine's own accumulation rather than replacing it.
+ * Bound via PlanInputs::sink, so it replaces the engine's own
+ * accumulation: a coalesced run keeps its results only once, as
+ * wire records.
  */
 
 #ifndef PSTAT_SERVE_ROUTING_SINK_HH

@@ -253,7 +253,11 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
                 throw FrameError(
                     "serve supports pvalue x memory plans only (the "
                     "request carries its columns inline)");
-        } catch (const FrameError &error) {
+            // Validated here, per request: the scheduler coalesces on
+            // what a plan computes, so an invalid provisioning knob
+            // must not ride along on another request's valid run.
+            engine::validatePlan(request.plan);
+        } catch (const std::exception &error) {
             // The frame itself was valid (CRC passed), so the stream
             // is still in sync: answer the specific request with a
             // typed error and keep the connection alive.
@@ -322,14 +326,16 @@ Server::schedulerLoop()
             round.push_back(std::move(*more));
         }
 
-        // Partition the round by plan identity (the deterministic
-        // encodePlan bytes): only byte-identical plans may share an
-        // Executor run.
+        // Partition the round by what each plan computes (the
+        // encodePlanComputation bytes): plans that differ only in
+        // provisioning knobs (threads, grain, simd, queue capacity)
+        // produce bit-identical results, so they share one Executor
+        // run — on the daemon's engine, which ignores those knobs.
         std::vector<std::vector<uint8_t>> keys;
         std::vector<std::vector<Pending>> groups;
         for (Pending &pending : round) {
             const std::vector<uint8_t> key =
-                engine::encodePlan(pending.request.plan);
+                engine::encodePlanComputation(pending.request.plan);
             size_t slot = keys.size();
             for (size_t i = 0; i < keys.size(); ++i)
                 if (keys[i] == key) {
@@ -389,7 +395,7 @@ Server::dispatchGroup(engine::EvalEngine &engine,
     RoutingSink routing;
     engine::PlanInputs inputs;
     inputs.columns = columns;
-    inputs.result_sink = &routing;
+    inputs.sink = &routing;
     const engine::EvalPlan &plan = group.front().request.plan;
     try {
         engine.run(plan, inputs);

@@ -16,8 +16,10 @@
  *
  *  - **Coalescing.** The scheduler blocks for one request, then
  *    greedily sweeps (tryPop) whatever else has arrived, up to
- *    coalesce_max. Requests with byte-identical encoded plans merge
- *    into one Executor run over their concatenated columns; a
+ *    coalesce_max. Requests whose plans compute the same thing
+ *    (engine::encodePlanComputation: equal up to the provisioning
+ *    knobs) merge into one Executor run over their concatenated
+ *    columns; a
  *    RoutingSink (serve/routing_sink.hh) demultiplexes the flat
  *    record vector back to per-request responses. Small concurrent
  *    requests therefore pay one scheduling round, not N.

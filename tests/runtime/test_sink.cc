@@ -1,15 +1,8 @@
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-// Sink layer contracts: accumulation parity, tally counters, tee
-// fan-out, the lossless result-shard round trip for every registered
-// format (the file-sink acceptance criterion), and writer/reader
-// rejection of malformed result records.
+// Sink layer contracts: accumulation parity, tee fan-out, the
+// replacing vs teed sink bindings of a run, the lossless result-shard
+// round trip for every registered format (the file-sink acceptance
+// criterion), and writer/reader rejection of malformed result
+// records.
 
 #include <gtest/gtest.h>
 
@@ -45,6 +38,27 @@ makeColumns(int n, uint64_t seed)
     config.variant_fraction = 0.2;
     config.seed = seed;
     return pbd::makeDataset(config, "sink").columns;
+}
+
+/** run() of a PValue x Memory plan over @p columns. */
+PlanRun
+runPValues(EvalEngine &engine, const EvalPlan &plan,
+           std::span<const pbd::Column> columns)
+{
+    PlanInputs inputs;
+    inputs.columns = columns;
+    return engine.run(plan, inputs);
+}
+
+/** A PValue x Memory plan of @p policy in @p format_id. */
+EvalPlan
+pvaluePlan(PlanPolicy policy, const std::string &format_id = "")
+{
+    EvalPlan plan;
+    plan.policy = policy;
+    plan.format_id = format_id;
+    plan.sum = PlanSum::Plain;
+    return plan;
 }
 
 /** Exact equality of two evaluation results (value bits + flags). */
@@ -101,37 +115,6 @@ TEST(ResultSink, BaseSinkRejectsUnimplementedChannels)
                  std::logic_error);
 }
 
-TEST(ResultSink, TallyCountsWithoutStoring)
-{
-    std::vector<EvalResult> results(5);
-    results[0].value = BigFloat::twoPow(-4);
-    results[1].value = BigFloat::twoPow(-100);
-    results[2].value = BigFloat::zero();
-    results[2].underflow = true;
-    results[3].value = BigFloat::nan();
-    results[3].invalid = true;
-    results[4].value = BigFloat::twoPow(-12);
-
-    TallySink sink(BigFloat::twoPow(-10)); // call threshold 2^-10
-    WorkBlock block;
-    block.items = results.size();
-    sink.consumeResults(block, results);
-    sink.finish();
-
-    const SinkTally &tally = sink.tally();
-    EXPECT_EQ(tally.items, 5u);
-    EXPECT_EQ(tally.invalid, 1u);
-    EXPECT_EQ(tally.underflows, 1u);
-    EXPECT_EQ(tally.skipped, 0u);
-    // 2^-100, the underflowed zero (exact zero is finite), and
-    // 2^-12 all fall strictly below 2^-10.
-    EXPECT_EQ(tally.below_threshold, 3u);
-    ASSERT_TRUE(tally.min_log2.has_value());
-    ASSERT_TRUE(tally.max_log2.has_value());
-    EXPECT_DOUBLE_EQ(*tally.min_log2, -100.0);
-    EXPECT_DOUBLE_EQ(*tally.max_log2, -4.0);
-}
-
 TEST(ResultSink, TeeFansOutToEverySink)
 {
     PlanRun a, b;
@@ -184,8 +167,10 @@ TEST(ResultSink, FileSinkRoundTripsEveryRegisteredFormat)
     EvalEngine engine(4);
     for (const FormatOps *format :
          FormatRegistry::instance().all()) {
-        const auto want = engine.pvalueBatch(*format, columns,
-                                             SumPolicy::Plain);
+        const auto want =
+            runPValues(engine, pvaluePlan(PlanPolicy::Fixed, format->id()),
+                       columns)
+                .results;
 
         const std::string path =
             tempPath("sink-rt-" + format->id() + ".shard");
@@ -211,14 +196,12 @@ TEST(ResultSink, FileSinkPersistsScreenedMasks)
 {
     const auto columns = makeColumns(30, 555);
     EvalEngine engine(2);
-    const auto &format = FormatRegistry::instance().at("log");
-    pbd::ScreenConfig config;
-    config.guard_band_log2 = 16.0;
-    const auto batch = engine.pvalueScreenedBatch(
-        format, columns, config, SumPolicy::Plain);
+    EvalPlan plan = pvaluePlan(PlanPolicy::Screened, "log");
+    plan.screen.guard_band_log2 = 16.0;
+    const auto batch = runPValues(engine, plan, columns).screened;
 
     const std::string path = tempPath("sink-screened.shard");
-    ShardFileSink sink(path, PlanKernel::PValue, format.id());
+    ShardFileSink sink(path, PlanKernel::PValue, plan.format_id);
     WorkBlock block;
     block.items = batch.results.size();
     sink.consumeScreened(block, batch);
@@ -237,11 +220,9 @@ TEST(ResultSink, FileSinkPersistsAdaptiveCertification)
 {
     const auto columns = makeColumns(16, 777);
     EvalEngine engine(2);
-    const Ladder &ladder = defaultLadder();
-    CertConfig cert;
-    cert.tol_rel_log2 = -20.0;
-    const auto batch = engine.pvalueAdaptiveBatch(
-        ladder, columns, cert, std::nullopt, SumPolicy::Plain);
+    EvalPlan plan = pvaluePlan(PlanPolicy::Adaptive);
+    plan.cert.tol_rel_log2 = -20.0;
+    const auto batch = runPValues(engine, plan, columns).adaptive;
 
     const std::string path = tempPath("sink-adaptive.shard");
     ShardFileSink sink(path, PlanKernel::PValue, "adaptive");
@@ -274,11 +255,15 @@ TEST(ResultSink, FileSinkRoundTripsViterbiDecodes)
         jobs.push_back({&model, seq});
 
     EvalEngine engine(2);
-    const auto &format = FormatRegistry::instance().at("log");
-    const auto want = engine.viterbiBatch(format, jobs);
+    EvalPlan plan;
+    plan.kernel = PlanKernel::Viterbi;
+    plan.format_id = "log";
+    PlanInputs inputs;
+    inputs.jobs = jobs;
+    const auto want = engine.run(plan, inputs).decodes;
 
     const std::string path = tempPath("sink-viterbi.shard");
-    ShardFileSink sink(path, PlanKernel::Viterbi, format.id());
+    ShardFileSink sink(path, PlanKernel::Viterbi, plan.format_id);
     WorkBlock block;
     block.items = want.size();
     sink.consumeDecodes(block, want);
@@ -369,35 +354,68 @@ TEST(ResultSink, FileSinkWritesReadableZeroRecordShards)
     }
 }
 
-// The per-shard callback adapter must deliver (not drop, not crash
-// on) a stream whose shards hold zero columns: the callback fires
-// once per shard with an empty result span, and the merged PlanRun
-// stays empty.
-TEST(ResultSink, CallbackSinkDeliversZeroRecordShards)
+// A bound PlanInputs::sink replaces accumulation: the PlanRun's
+// result fields stay empty, the sink sees every result, and a bound
+// result_sink is still teed alongside it.
+TEST(ResultSink, BoundSinkReplacesAccumulation)
+{
+    const auto columns = makeColumns(12, 313);
+    EvalEngine engine(2);
+    const EvalPlan plan = pvaluePlan(PlanPolicy::Fixed, "binary64");
+    const PlanRun want = runPValues(engine, plan, columns);
+
+    PlanRun routed;
+    AccumulateSink sink(routed);
+    const std::string path = tempPath("sink-replace-tee.shard");
+    ShardFileSink file(path, plan.kernel, plan.format_id);
+    PlanInputs inputs;
+    inputs.columns = columns;
+    inputs.sink = &sink;
+    inputs.result_sink = &file;
+    const PlanRun run = engine.run(plan, inputs);
+
+    EXPECT_TRUE(run.results.empty());
+    ASSERT_EQ(routed.results.size(), want.results.size());
+    const ResultShardData data = readResultShard(path);
+    ASSERT_EQ(data.results.size(), want.results.size());
+    for (size_t i = 0; i < want.results.size(); ++i) {
+        const std::string tag = "record " + std::to_string(i);
+        expectSameResult(routed.results[i], want.results[i], tag);
+        expectSameResult(data.results[i], want.results[i], tag);
+    }
+}
+
+// A bound sink must be delivered (not dropped, not crashed on) a
+// stream whose shards hold zero columns: it sees one empty block per
+// shard, and the PlanRun it replaces stays empty.
+TEST(ResultSink, SinkDeliversZeroRecordShards)
 {
     const std::string empty_shard = tempPath("sink-empty-cols.shard");
     io::writeColumnShard(empty_shard, std::vector<pbd::Column>{});
 
     EvalEngine engine(2);
-    EvalPlan plan;
-    plan.kernel = PlanKernel::PValue;
+    EvalPlan plan = pvaluePlan(PlanPolicy::Fixed, "binary64");
     plan.source = PlanSource::ShardStream;
-    plan.policy = PlanPolicy::Fixed;
-    plan.format_id = "binary64";
     plan.shard_paths = {empty_shard, empty_shard};
 
-    size_t calls = 0;
+    struct CountingSink final : ResultSink
+    {
+        void
+        consumeResults(const WorkBlock &block,
+                       std::span<const EvalResult> results) override
+        {
+            EXPECT_EQ(block.index, calls);
+            ASSERT_NE(block.shard, nullptr);
+            EXPECT_EQ(block.shard->size(), 0u);
+            EXPECT_TRUE(results.empty());
+            ++calls;
+        }
+        size_t calls = 0;
+    } sink;
     PlanInputs inputs;
-    inputs.sink = [&](size_t shard_index,
-                      const io::ShardReader &shard,
-                      std::span<const EvalResult> results) {
-        EXPECT_EQ(shard_index, calls);
-        EXPECT_EQ(shard.size(), 0u);
-        EXPECT_TRUE(results.empty());
-        ++calls;
-    };
+    inputs.sink = &sink;
     const PlanRun run = engine.run(plan, inputs);
-    EXPECT_EQ(calls, 2u);
+    EXPECT_EQ(sink.calls, 2u);
     EXPECT_TRUE(run.results.empty());
     EXPECT_EQ(run.stream.shards, 2u);
     EXPECT_EQ(run.stream.items, 0u);

@@ -8,17 +8,10 @@
  * "diff;slow"); everything here is fast enough for the PR lane.
  */
 
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -47,6 +40,23 @@ sharedEngine()
 {
     static engine::EvalEngine engine;
     return engine;
+}
+
+/**
+ * run() of an adaptive PValue x Memory plan over @p columns on the
+ * default ladder, behind the default screen when @p screened.
+ */
+engine::AdaptiveBatch
+adaptivePValues(std::span<const pbd::Column> columns,
+                const CertConfig &cert, bool screened = false)
+{
+    engine::EvalPlan plan;
+    plan.policy = screened ? engine::PlanPolicy::ScreenedAdaptive
+                           : engine::PlanPolicy::Adaptive;
+    plan.cert = cert;
+    engine::PlanInputs inputs;
+    inputs.columns = columns;
+    return sharedEngine().run(plan, inputs).adaptive;
 }
 
 pbd::Column
@@ -179,9 +189,12 @@ TEST(Intervals, LinearIntervalEnclosesExactIidTail)
     const auto &registry = engine::FormatRegistry::instance();
     const engine::FormatOps &b64 = registry.at("binary64");
     const pbd::Column col = iidColumn(80, 3e-3, 4);
-    const auto results = sharedEngine().pvalueBatch(
-        b64, std::vector<pbd::Column>{col},
-        engine::SumPolicy::Plain);
+    engine::EvalPlan plan;
+    plan.format_id = b64.id();
+    plan.sum = engine::PlanSum::Plain;
+    engine::PlanInputs inputs;
+    inputs.columns = std::span<const pbd::Column>(&col, 1);
+    const auto results = sharedEngine().run(plan, inputs).results;
     ASSERT_EQ(results.size(), 1u);
     const ResultInterval iv = engine::pbdPValueInterval(
         b64.errorModel(), col.view(), engine::SumPolicy::Plain,
@@ -225,29 +238,19 @@ TEST(Intervals, AnalyticBoundsContainExactIidTail)
 TEST(Adaptive, RejectsMalformedArguments)
 {
     const std::vector<pbd::Column> columns{iidColumn(10, 0.1, 2)};
-    const engine::Ladder &ladder = engine::defaultLadder();
 
     CertConfig empty;
-    EXPECT_THROW(sharedEngine().pvalueAdaptiveBatch(ladder, columns,
-                                                    empty),
+    EXPECT_THROW(adaptivePValues(columns, empty),
                  std::invalid_argument);
 
     CertConfig positive_tol;
     positive_tol.tol_rel_log2 = 0.5;
-    EXPECT_THROW(sharedEngine().pvalueAdaptiveBatch(ladder, columns,
-                                                    positive_tol),
+    EXPECT_THROW(adaptivePValues(columns, positive_tol),
                  std::invalid_argument);
 
     CertConfig nan_thr;
     nan_thr.threshold_log2 = std::nan("");
-    EXPECT_THROW(sharedEngine().pvalueAdaptiveBatch(ladder, columns,
-                                                    nan_thr),
-                 std::invalid_argument);
-
-    CertConfig ok;
-    ok.threshold_log2 = -200.0;
-    EXPECT_THROW(sharedEngine().pvalueAdaptiveBatch(
-                     engine::Ladder{}, columns, ok),
+    EXPECT_THROW(adaptivePValues(columns, nan_thr),
                  std::invalid_argument);
 }
 
@@ -265,11 +268,8 @@ TEST(Adaptive, SkippedColumnsAreNeverEscalated)
 
     CertConfig cert;
     cert.threshold_log2 = -200.0;
-    const pbd::ScreenConfig screen;
     const engine::AdaptiveBatch batch =
-        sharedEngine().pvalueAdaptiveBatch(engine::defaultLadder(),
-                                           dataset.columns, cert,
-                                           screen);
+        adaptivePValues(dataset.columns, cert, true);
 
     ASSERT_EQ(batch.skipped.size(), dataset.columns.size());
     size_t skipped = 0;
@@ -309,8 +309,7 @@ TEST(Adaptive, TierAccountingAddsUp)
     CertConfig cert;
     cert.threshold_log2 = -200.0;
     const engine::AdaptiveBatch batch =
-        sharedEngine().pvalueAdaptiveBatch(engine::defaultLadder(),
-                                           dataset.columns, cert);
+        adaptivePValues(dataset.columns, cert);
 
     size_t tier_certified = 0;
     for (const engine::TierStats &ts : batch.tiers) {
@@ -369,10 +368,14 @@ TEST(Adaptive, ForwardBatchCertifiesSmallModels)
     for (int j = 0; j < 4; ++j)
         jobs.push_back(engine::ForwardJob{&models[j], sequences[j]});
 
+    engine::EvalPlan plan;
+    plan.kernel = engine::PlanKernel::Forward;
+    plan.policy = engine::PlanPolicy::Adaptive;
+    plan.cert = engine::defaultForwardCert();
+    engine::PlanInputs inputs;
+    inputs.jobs = jobs;
     const engine::AdaptiveBatch batch =
-        sharedEngine().forwardAdaptiveBatch(
-            engine::defaultLadder(), jobs,
-            engine::defaultForwardCert());
+        sharedEngine().run(plan, inputs).adaptive;
     EXPECT_EQ(batch.results.size(), jobs.size());
     EXPECT_EQ(batch.uncertified, 0u);
     for (const engine::EscalationResult &r : batch.results) {

@@ -7,14 +7,6 @@
  * parallelFor scheduling, and AccuracyTally classification.
  */
 
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -541,12 +533,29 @@ decodeJobs()
     return jobs;
 }
 
+/** run() of one HMM-kernel x Memory plan in @p format over @p jobs. */
+PlanRun
+runHmmPlan(EvalEngine &engine, PlanKernel kernel,
+           const FormatOps &format, std::span<const ForwardJob> jobs,
+           bool renormalize = false)
+{
+    EvalPlan plan;
+    plan.kernel = kernel;
+    plan.format_id = format.id();
+    plan.renormalize = renormalize;
+    PlanInputs inputs;
+    inputs.jobs = jobs;
+    return engine.run(plan, inputs);
+}
+
 TEST(EvalEngine, BatchedBackwardBitMatchesSerialEveryFormat)
 {
     EvalEngine engine(4);
     const auto jobs = decodeJobs();
     for (const FormatOps *format : FormatRegistry::instance().all()) {
-        const auto batched = engine.backwardBatch(*format, jobs);
+        const auto batched =
+            runHmmPlan(engine, PlanKernel::Backward, *format, jobs)
+                .results;
         ASSERT_EQ(batched.size(), jobs.size());
         for (size_t i = 0; i < jobs.size(); ++i) {
             const auto serial = format->hmmBackward(
@@ -565,8 +574,10 @@ TEST(EvalEngine, BatchedPosteriorBitMatchesSerialEveryFormat)
     const auto jobs = decodeJobs();
     for (const FormatOps *format : FormatRegistry::instance().all()) {
         for (bool renorm : {false, true}) {
-            const auto batched = engine.posteriorBatch(
-                *format, jobs, Dataflow::Accelerator, renorm);
+            const auto batched =
+                runHmmPlan(engine, PlanKernel::Posterior, *format, jobs,
+                           renorm)
+                    .posteriors;
             ASSERT_EQ(batched.size(), jobs.size());
             for (size_t i = 0; i < jobs.size(); ++i) {
                 const auto serial = format->hmmPosterior(
@@ -596,7 +607,9 @@ TEST(EvalEngine, BatchedViterbiBitMatchesSerialEveryFormat)
     EvalEngine engine(4);
     const auto jobs = decodeJobs();
     for (const FormatOps *format : FormatRegistry::instance().all()) {
-        const auto batched = engine.viterbiBatch(*format, jobs);
+        const auto batched =
+            runHmmPlan(engine, PlanKernel::Viterbi, *format, jobs)
+                .decodes;
         ASSERT_EQ(batched.size(), jobs.size());
         for (size_t i = 0; i < jobs.size(); ++i) {
             const auto serial =
@@ -618,11 +631,14 @@ TEST(EvalEngine, BackwardMatchesScalarTemplatesAndLogNary)
     const auto jobs = decodeJobs();
     const auto &registry = FormatRegistry::instance();
 
-    const auto p18 = engine.backwardBatch(registry.at("posit64_18"),
-                                          jobs);
-    const auto lg = engine.backwardBatch(registry.at("log"), jobs);
-    const auto lg32 = engine.backwardBatch(registry.at("log32"),
-                                           jobs);
+    const auto backward = [&](const char *id) {
+        return runHmmPlan(engine, PlanKernel::Backward, registry.at(id),
+                          jobs)
+            .results;
+    };
+    const auto p18 = backward("posit64_18");
+    const auto lg = backward("log");
+    const auto lg32 = backward("log32");
     const auto oracle = engine.backwardOracleBatch(jobs);
 
     for (size_t i = 0; i < jobs.size(); ++i) {

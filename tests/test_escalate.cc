@@ -19,14 +19,6 @@
  * down for sanitizer legs.
  */
 
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -46,7 +38,6 @@
 #include "hmm/generator.hh"
 #include "hmm/model.hh"
 #include "io/shard.hh"
-#include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
 #include "pbd/screen.hh"
 #include "prop_util.hh"
@@ -60,7 +51,6 @@ using namespace pstat;
 using engine::AdaptiveBatch;
 using engine::CertConfig;
 using engine::EscalationResult;
-using engine::Ladder;
 using test::tempPath;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -76,6 +66,41 @@ sharedEngine()
 {
     static engine::EvalEngine engine;
     return engine;
+}
+
+/**
+ * run() of an adaptive p-value plan over @p columns: the default
+ * ladder unless @p ladder_ids names the tiers, behind the default
+ * screen when @p screened.
+ */
+AdaptiveBatch
+adaptivePValues(std::span<const pbd::Column> columns,
+                const CertConfig &cert,
+                std::vector<std::string> ladder_ids = {},
+                bool screened = false)
+{
+    engine::EvalPlan plan;
+    plan.policy = screened ? engine::PlanPolicy::ScreenedAdaptive
+                           : engine::PlanPolicy::Adaptive;
+    plan.ladder_ids = std::move(ladder_ids);
+    plan.cert = cert;
+    engine::PlanInputs inputs;
+    inputs.columns = columns;
+    return sharedEngine().run(plan, inputs).adaptive;
+}
+
+/** run() of an adaptive forward plan on the default ladder. */
+AdaptiveBatch
+adaptiveForward(std::span<const engine::ForwardJob> jobs,
+                const CertConfig &cert)
+{
+    engine::EvalPlan plan;
+    plan.kernel = engine::PlanKernel::Forward;
+    plan.policy = engine::PlanPolicy::Adaptive;
+    plan.cert = cert;
+    engine::PlanInputs inputs;
+    inputs.jobs = jobs;
+    return sharedEngine().run(plan, inputs).adaptive;
 }
 
 std::string
@@ -276,8 +301,7 @@ TEST(DiffEscalate, DefaultLadderDecisionCertificatesAreSound)
     const DiffSet &set = diffSet();
     CertConfig cert;
     cert.threshold_log2 = -200.0;
-    const AdaptiveBatch batch = sharedEngine().pvalueAdaptiveBatch(
-        engine::defaultLadder(), set.columns, cert);
+    const AdaptiveBatch batch = adaptivePValues(set.columns, cert);
     auditBatch(batch, set.oracle, set.seeds);
     // Decisions away from the threshold are easy; only a measure-zero
     // band around 2^-200 may legitimately stay uncertified.
@@ -296,10 +320,8 @@ TEST(DiffEscalate, EveryTierDecisionCertificatesAreSound)
     for (const char *id :
          {"bfloat16", "binary32", "binary64", "log", "scaled_dd"}) {
         SCOPED_TRACE(id);
-        const auto ladder = engine::parseLadder(id);
-        ASSERT_TRUE(ladder.has_value());
-        const AdaptiveBatch batch = sharedEngine().pvalueAdaptiveBatch(
-            *ladder, set.columns, cert);
+        const AdaptiveBatch batch =
+            adaptivePValues(set.columns, cert, {id});
         auditBatch(batch, set.oracle, set.seeds);
     }
 }
@@ -314,8 +336,7 @@ TEST(DiffEscalate, ValueCertificatesHonorClaimedBound)
         SCOPED_TRACE(tol);
         CertConfig cert;
         cert.tol_rel_log2 = tol;
-        const AdaptiveBatch batch = sharedEngine().pvalueAdaptiveBatch(
-            engine::defaultLadder(), set.columns, cert);
+        const AdaptiveBatch batch = adaptivePValues(set.columns, cert);
         auditBatch(batch, set.oracle, set.seeds);
         // ScaledDD's a-priori relative bound (~2^-90 at the deepest
         // coverage) certifies every column at the top tier.
@@ -333,9 +354,7 @@ screenedAdaptiveSweep(const DiffSet &set)
 {
     CertConfig cert;
     cert.threshold_log2 = -200.0;
-    const pbd::ScreenConfig screen;
-    AdaptiveBatch batch = sharedEngine().pvalueAdaptiveBatch(
-        engine::defaultLadder(), set.columns, cert, screen);
+    AdaptiveBatch batch = adaptivePValues(set.columns, cert, {}, true);
     auditBatch(batch, set.oracle, set.seeds);
 
     EXPECT_EQ(batch.skipped.size(), set.columns.size());
@@ -375,7 +394,6 @@ TEST(DiffEscalate, ScreenedAdaptiveMaskWinsOnAdversaries)
 
 TEST(DiffEscalate, ScreenedBatchDifferentialAgainstOracle)
 {
-    const auto &registry = engine::FormatRegistry::instance();
     const pbd::ScreenConfig config;
     const struct
     {
@@ -390,11 +408,15 @@ TEST(DiffEscalate, ScreenedBatchDifferentialAgainstOracle)
         for (const auto &sweep : sweeps) {
             SCOPED_TRACE(std::string(id) + " " + sweep.name);
             const DiffSet &set = *sweep.set;
-            const engine::FormatOps &format = registry.at(id);
-            const auto screened = sharedEngine().pvalueScreenedBatch(
-                format, set.columns, config);
-            const auto plain =
-                sharedEngine().pvalueBatch(format, set.columns);
+            engine::EvalPlan plan;
+            plan.format_id = id;
+            engine::PlanInputs inputs;
+            inputs.columns = set.columns;
+            const auto plain = sharedEngine().run(plan, inputs).results;
+            plan.policy = engine::PlanPolicy::Screened;
+            plan.screen = config;
+            const auto screened =
+                sharedEngine().run(plan, inputs).screened;
             ASSERT_EQ(screened.results.size(), set.columns.size());
             if (sweep.no_false_skips) {
                 EXPECT_EQ(pbd::countFalseSkips(screened.skipped,
@@ -413,6 +435,22 @@ TEST(DiffEscalate, ScreenedBatchDifferentialAgainstOracle)
         }
     }
 }
+
+/** Keeps every streamed shard's adaptive batch and block index. */
+class AdaptiveShards final : public engine::ResultSink
+{
+  public:
+    void
+    consumeAdaptive(const engine::WorkBlock &block,
+                    const AdaptiveBatch &batch) override
+    {
+        indices.push_back(block.index);
+        batches.push_back(batch);
+    }
+
+    std::vector<size_t> indices;
+    std::vector<AdaptiveBatch> batches;
+};
 
 TEST(DiffEscalate, AdaptiveStreamMatchesBatch)
 {
@@ -435,45 +473,44 @@ TEST(DiffEscalate, AdaptiveStreamMatchesBatch)
 
     CertConfig cert;
     cert.threshold_log2 = -200.0;
-    const Ladder &ladder = engine::defaultLadder();
-    io::ShardStreamConfig stream_config;
-    io::ShardStream stream(paths, stream_config);
+    engine::EvalPlan plan;
+    plan.source = engine::PlanSource::ShardStream;
+    plan.policy = engine::PlanPolicy::Adaptive;
+    plan.cert = cert;
+    plan.shard_paths = paths;
 
-    size_t shards_seen = 0;
+    // Each shard's streamed batch must equal the in-memory batch over
+    // that shard's columns, so the sink keeps them per shard.
+    AdaptiveShards streamed;
+    engine::PlanInputs inputs;
+    inputs.sink = &streamed;
     const engine::StreamStats stats =
-        sharedEngine().pvalueAdaptiveStream(
-            ladder, stream,
-            [&](size_t index, const io::ShardReader &,
-                const AdaptiveBatch &batch) {
-                ASSERT_LT(index, kShards);
-                const AdaptiveBatch ref =
-                    sharedEngine().pvalueAdaptiveBatch(
-                        ladder, shard_columns[index], cert);
-                ASSERT_EQ(batch.results.size(), ref.results.size());
-                for (size_t i = 0; i < batch.results.size(); ++i) {
-                    const std::string tag = "shard " +
-                                            std::to_string(index) +
-                                            " item " +
-                                            std::to_string(i);
-                    const EscalationResult &a = batch.results[i];
-                    const EscalationResult &b = ref.results[i];
-                    EXPECT_EQ(a.tier, b.tier) << tag;
-                    EXPECT_EQ(a.certified, b.certified) << tag;
-                    expectSameResult(a.result, b.result, tag);
-                    EXPECT_EQ(a.interval.lo_log2, b.interval.lo_log2)
-                        << tag;
-                    EXPECT_EQ(a.interval.hi_log2, b.interval.hi_log2)
-                        << tag;
-                    EXPECT_EQ(a.interval.rel_bound_log2,
-                              b.interval.rel_bound_log2)
-                        << tag;
-                }
-                EXPECT_EQ(batch.certified, ref.certified);
-                EXPECT_EQ(batch.uncertified, ref.uncertified);
-                ++shards_seen;
-            },
-            cert);
-    EXPECT_EQ(shards_seen, kShards);
+        sharedEngine().run(plan, inputs).stream;
+
+    ASSERT_EQ(streamed.batches.size(), kShards);
+    for (size_t index = 0; index < kShards; ++index) {
+        EXPECT_EQ(streamed.indices[index], index);
+        const AdaptiveBatch &batch = streamed.batches[index];
+        const AdaptiveBatch ref =
+            adaptivePValues(shard_columns[index], cert);
+        ASSERT_EQ(batch.results.size(), ref.results.size());
+        for (size_t i = 0; i < batch.results.size(); ++i) {
+            const std::string tag = "shard " + std::to_string(index) +
+                                    " item " + std::to_string(i);
+            const EscalationResult &a = batch.results[i];
+            const EscalationResult &b = ref.results[i];
+            EXPECT_EQ(a.tier, b.tier) << tag;
+            EXPECT_EQ(a.certified, b.certified) << tag;
+            expectSameResult(a.result, b.result, tag);
+            EXPECT_EQ(a.interval.lo_log2, b.interval.lo_log2) << tag;
+            EXPECT_EQ(a.interval.hi_log2, b.interval.hi_log2) << tag;
+            EXPECT_EQ(a.interval.rel_bound_log2,
+                      b.interval.rel_bound_log2)
+                << tag;
+        }
+        EXPECT_EQ(batch.certified, ref.certified);
+        EXPECT_EQ(batch.uncertified, ref.uncertified);
+    }
     EXPECT_EQ(stats.shards, kShards);
     EXPECT_EQ(stats.items, total);
 }
@@ -512,16 +549,14 @@ TEST(DiffEscalate, ForwardCertificatesAreSound)
 
     CertConfig value_cert;
     value_cert.tol_rel_log2 = -12.0;
-    const AdaptiveBatch values = sharedEngine().forwardAdaptiveBatch(
-        engine::defaultLadder(), jobs, value_cert);
+    const AdaptiveBatch values = adaptiveForward(jobs, value_cert);
     auditBatch(values, oracle, seeds);
     EXPECT_EQ(values.uncertified, 0u);
 
     CertConfig decision_cert;
     decision_cert.threshold_log2 = -100.0;
     const AdaptiveBatch decisions =
-        sharedEngine().forwardAdaptiveBatch(engine::defaultLadder(),
-                                            jobs, decision_cert);
+        adaptiveForward(jobs, decision_cert);
     auditBatch(decisions, oracle, seeds);
 }
 
@@ -546,9 +581,12 @@ TEST(DiffEscalate, PosteriorDifferentialTracksOracle)
             engine::ForwardJob{&models.back(), sequences.back()});
     }
 
-    const auto &registry = engine::FormatRegistry::instance();
-    const auto computed = sharedEngine().posteriorBatch(
-        registry.at("binary64"), jobs);
+    engine::EvalPlan plan;
+    plan.kernel = engine::PlanKernel::Posterior;
+    plan.format_id = "binary64";
+    engine::PlanInputs inputs;
+    inputs.jobs = jobs;
+    const auto computed = sharedEngine().run(plan, inputs).posteriors;
     const auto oracle = sharedEngine().posteriorOracleBatch(jobs);
     ASSERT_EQ(computed.size(), oracle.size());
     for (size_t j = 0; j < jobs.size(); ++j) {

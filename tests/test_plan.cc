@@ -3,19 +3,12 @@
  * EvalPlan tests: value semantics and validation, the versioned wire
  * format (golden vector, round trips, rejection of truncated /
  * corrupted / wrong-version / trailing-garbage bytes), plan files,
- * and the bit-identity contract — every legacy EvalEngine entry
- * point against the equivalent EvalPlan through run(), swept over
- * every registered format.
+ * and the bit-identity contract — run(plan) against the scalar
+ * FormatOps kernels item by item, and streamed runs against
+ * in-memory ones, swept over every registered format.
  */
 
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
@@ -29,8 +22,8 @@
 #include "engine/plan.hh"
 #include "hmm/generator.hh"
 #include "io/shard.hh"
-#include "io/shard_stream.hh"
 #include "pbd/dataset.hh"
+#include "pbd/pbd.hh"
 #include "test_util.hh"
 
 namespace
@@ -304,9 +297,13 @@ TEST(Plan, DescribeNamesTheShape)
     EXPECT_NE(text.find("screened-adaptive"), std::string::npos);
 }
 
-// ----------------------------------------- plan-vs-legacy identity
+// ----------------------------------------- plan-vs-scalar identity
 
-/** Shared fixture: one small dataset + shards, built once. */
+/**
+ * Shared fixture: one small dataset + shards, built once. Every
+ * test compares run(plan) against the scalar FormatOps kernel
+ * applied item by item, and streamed runs against in-memory ones.
+ */
 class PlanIdentity : public ::testing::Test
 {
   protected:
@@ -349,32 +346,90 @@ class PlanIdentity : public ::testing::Test
         shard_paths_ = nullptr;
     }
 
-    static void
-    expectSameResults(const std::vector<engine::EvalResult> &got,
-                      const std::vector<engine::EvalResult> &want)
+    /** A p-value plan over the dataset, in memory or streamed. */
+    static engine::EvalPlan
+    pvaluePlan(engine::PlanPolicy policy, engine::PlanSource source)
     {
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_TRUE(got[i].value == want[i].value) << "slot " << i;
-            EXPECT_EQ(got[i].invalid, want[i].invalid) << "slot " << i;
-            EXPECT_EQ(got[i].underflow, want[i].underflow)
-                << "slot " << i;
-        }
+        engine::EvalPlan plan;
+        plan.policy = policy;
+        plan.source = source;
+        plan.sum = engine::PlanSum::Plain;
+        if (source == engine::PlanSource::ShardStream)
+            plan.shard_paths = *shard_paths_;
+        return plan;
+    }
+
+    /** run(plan) over the dataset (bound for memory plans). */
+    static engine::PlanRun
+    runOnDataset(engine::EvalEngine &engine,
+                 const engine::EvalPlan &plan)
+    {
+        engine::PlanInputs inputs;
+        inputs.columns = *dataset_;
+        return engine.run(plan, inputs);
+    }
+
+    /** The scalar kernel's p-value of dataset column @p i. */
+    static engine::EvalResult
+    scalarPValue(const engine::FormatOps &format, size_t i)
+    {
+        const pbd::Column &column = (*dataset_)[i];
+        return format.pbdPValue(column.success_probs, column.k,
+                                engine::SumPolicy::Plain);
     }
 
     static void
-    expectSameEscalations(
-        const std::vector<engine::EscalationResult> &got,
-        const std::vector<engine::EscalationResult> &want)
+    expectSameResult(const engine::EvalResult &got,
+                     const engine::EvalResult &want,
+                     const std::string &tag)
     {
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_TRUE(got[i].result.value == want[i].result.value)
-                << "slot " << i;
-            EXPECT_EQ(got[i].tier, want[i].tier) << "slot " << i;
-            EXPECT_EQ(got[i].certified, want[i].certified)
-                << "slot " << i;
+        EXPECT_TRUE(got.value == want.value) << tag;
+        EXPECT_EQ(got.invalid, want.invalid) << tag;
+        EXPECT_EQ(got.underflow, want.underflow) << tag;
+    }
+
+    static void
+    expectSameResults(const std::vector<engine::EvalResult> &got,
+                      const std::vector<engine::EvalResult> &want,
+                      const std::string &tag)
+    {
+        ASSERT_EQ(got.size(), want.size()) << tag;
+        for (size_t i = 0; i < got.size(); ++i)
+            expectSameResult(got[i], want[i],
+                             tag + " slot " + std::to_string(i));
+    }
+
+    /** Fixed-policy results against the scalar kernel, per column. */
+    static void
+    expectScalarPValues(const engine::FormatOps &format,
+                        const std::vector<engine::EvalResult> &got)
+    {
+        ASSERT_EQ(got.size(), dataset_->size()) << format.id();
+        for (size_t i = 0; i < got.size(); ++i)
+            expectSameResult(got[i], scalarPValue(format, i),
+                             format.id() + " column " +
+                                 std::to_string(i));
+    }
+
+    static void
+    expectSameAdaptive(const engine::AdaptiveBatch &got,
+                       const engine::AdaptiveBatch &want,
+                       const std::string &tag)
+    {
+        ASSERT_EQ(got.results.size(), want.results.size()) << tag;
+        for (size_t i = 0; i < got.results.size(); ++i) {
+            const std::string slot = tag + " slot " + std::to_string(i);
+            const engine::EscalationResult &a = got.results[i];
+            const engine::EscalationResult &b = want.results[i];
+            expectSameResult(a.result, b.result, slot);
+            EXPECT_EQ(a.tier, b.tier) << slot;
+            EXPECT_EQ(a.certified, b.certified) << slot;
+            EXPECT_EQ(a.interval.lo_log2, b.interval.lo_log2) << slot;
+            EXPECT_EQ(a.interval.hi_log2, b.interval.hi_log2) << slot;
         }
+        EXPECT_EQ(got.skipped, want.skipped) << tag;
+        EXPECT_EQ(got.certified, want.certified) << tag;
+        EXPECT_EQ(got.uncertified, want.uncertified) << tag;
     }
 
     static std::vector<pbd::Column> *dataset_;
@@ -387,47 +442,28 @@ std::vector<std::string> *PlanIdentity::shard_paths_ = nullptr;
 TEST_F(PlanIdentity, FixedBatchMatchesEveryFormat)
 {
     engine::EvalEngine engine(2);
-    for (const auto &id :
-         engine::FormatRegistry::instance().ids()) {
-        const auto &format =
-            engine::FormatRegistry::instance().at(id);
-        const auto want = engine.pvalueBatch(
-            format, *dataset_, engine::SumPolicy::Plain);
-
-        engine::EvalPlan plan;
+    for (const auto &id : engine::FormatRegistry::instance().ids()) {
+        engine::EvalPlan plan = pvaluePlan(engine::PlanPolicy::Fixed,
+                                           engine::PlanSource::Memory);
         plan.format_id = id;
-        plan.sum = engine::PlanSum::Plain;
-        engine::PlanInputs inputs;
-        inputs.columns = *dataset_;
-        expectSameResults(engine.run(plan, inputs).results, want);
+        expectScalarPValues(engine::FormatRegistry::instance().at(id),
+                            runOnDataset(engine, plan).results);
     }
 }
 
 TEST_F(PlanIdentity, FixedStreamMatchesEveryFormat)
 {
     engine::EvalEngine engine(2);
-    for (const auto &id :
-         engine::FormatRegistry::instance().ids()) {
-        const auto &format =
-            engine::FormatRegistry::instance().at(id);
-        std::vector<engine::EvalResult> want;
-        io::ShardStream legacy_stream(*shard_paths_);
-        engine.pvalueStream(
-            format, legacy_stream,
-            [&](size_t, const io::ShardReader &,
-                std::span<const engine::EvalResult> results) {
-                want.insert(want.end(), results.begin(),
-                            results.end());
-            },
-            engine::SumPolicy::Plain);
-
+    for (const auto &id : engine::FormatRegistry::instance().ids()) {
         // No sink: run() accumulates shard batches in stream order.
-        engine::EvalPlan plan;
-        plan.source = engine::PlanSource::ShardStream;
+        engine::EvalPlan plan =
+            pvaluePlan(engine::PlanPolicy::Fixed,
+                       engine::PlanSource::ShardStream);
         plan.format_id = id;
-        plan.sum = engine::PlanSum::Plain;
-        plan.shard_paths = *shard_paths_;
-        expectSameResults(engine.run(plan).results, want);
+        const engine::PlanRun run = engine.run(plan);
+        expectScalarPValues(engine::FormatRegistry::instance().at(id),
+                            run.results);
+        EXPECT_EQ(run.stream.shards, shard_paths_->size());
     }
 }
 
@@ -439,31 +475,47 @@ TEST_F(PlanIdentity, ScreenedBatchAndStreamMatch)
     for (const std::string id : {"binary64", "log", "log32"}) {
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        const auto want = engine.pvalueScreenedBatch(
-            format, *dataset_, screen, engine::SumPolicy::Plain);
-
-        engine::EvalPlan plan;
-        plan.policy = engine::PlanPolicy::Screened;
+        engine::EvalPlan plan = pvaluePlan(
+            engine::PlanPolicy::Screened, engine::PlanSource::Memory);
         plan.format_id = id;
         plan.screen = screen;
-        plan.sum = engine::PlanSum::Plain;
-        engine::PlanInputs inputs;
-        inputs.columns = *dataset_;
-        const auto got = engine.run(plan, inputs).screened;
-        expectSameResults(got.results, want.results);
-        EXPECT_EQ(got.skipped, want.skipped);
-        EXPECT_EQ(got.stats.skipped, want.stats.skipped);
-        EXPECT_EQ(got.stats.guard_band_hits,
-                  want.stats.guard_band_hits);
+        const auto got = runOnDataset(engine, plan).screened;
 
-        // Streamed, via the plan's own shard paths.
+        // Evaluated columns carry the scalar kernel's bits; skipped
+        // ones the 2^round(estimate) placeholder.
+        ASSERT_EQ(got.results.size(), dataset_->size()) << id;
+        ASSERT_EQ(got.skipped.size(), dataset_->size()) << id;
+        size_t skipped = 0;
+        for (size_t i = 0; i < dataset_->size(); ++i) {
+            const pbd::Column &column = (*dataset_)[i];
+            EXPECT_EQ(got.estimates_log2[i],
+                      pbd::pvalueLog2Estimate(column.success_probs,
+                                              column.k));
+            if (got.skipped[i]) {
+                ++skipped;
+                EXPECT_TRUE(got.results[i].value ==
+                            BigFloat::twoPow(
+                                std::llround(got.estimates_log2[i])));
+                continue;
+            }
+            expectSameResult(got.results[i], scalarPValue(format, i),
+                             id + " column " + std::to_string(i));
+        }
+        EXPECT_EQ(got.stats.skipped, skipped);
+        EXPECT_EQ(got.stats.columns, dataset_->size());
+
+        // Streamed, via the plan's own shard paths: the merged
+        // shard batches equal the in-memory batch.
         engine::EvalPlan stream_plan = plan;
         stream_plan.source = engine::PlanSource::ShardStream;
         stream_plan.shard_paths = *shard_paths_;
         const auto streamed = engine.run(stream_plan).screened;
-        expectSameResults(streamed.results, want.results);
-        EXPECT_EQ(streamed.skipped, want.skipped);
-        EXPECT_EQ(streamed.stats.skipped, want.stats.skipped);
+        expectSameResults(streamed.results, got.results, id);
+        EXPECT_EQ(streamed.skipped, got.skipped);
+        EXPECT_EQ(streamed.estimates_log2, got.estimates_log2);
+        EXPECT_EQ(streamed.stats.skipped, got.stats.skipped);
+        EXPECT_EQ(streamed.stats.guard_band_hits,
+                  got.stats.guard_band_hits);
     }
 }
 
@@ -474,45 +526,55 @@ TEST_F(PlanIdentity, AdaptiveBatchAndStreamMatch)
     cert.threshold_log2 = -60.0;
 
     // Every registered format as its own single-tier ladder, plus
-    // the default multi-tier ladder.
+    // the default multi-tier ladder (empty ladder_ids).
     std::vector<std::vector<std::string>> ladders;
     for (const auto &id : engine::FormatRegistry::instance().ids())
         ladders.push_back({id});
     ladders.push_back({});
     for (const auto &ids : ladders) {
-        engine::Ladder ladder;
-        for (const auto &id : ids)
-            ladder.tiers.push_back(
-                &engine::FormatRegistry::instance().at(id));
-        const engine::Ladder &effective =
-            ids.empty() ? engine::defaultLadder() : ladder;
-        const auto want = engine.pvalueAdaptiveBatch(
-            effective, *dataset_, cert, std::nullopt,
-            engine::SumPolicy::Plain);
-
-        engine::EvalPlan plan;
-        plan.policy = engine::PlanPolicy::Adaptive;
+        const std::string tag = ids.empty() ? "default" : ids[0];
+        const engine::Ladder ladder =
+            ids.empty() ? engine::defaultLadder()
+                        : *engine::parseLadder(ids[0]);
+        engine::EvalPlan plan = pvaluePlan(
+            engine::PlanPolicy::Adaptive, engine::PlanSource::Memory);
         plan.ladder_ids = ids;
         plan.cert = cert;
-        plan.sum = engine::PlanSum::Plain;
-        engine::PlanInputs inputs;
-        inputs.columns = *dataset_;
-        const auto got = engine.run(plan, inputs).adaptive;
-        expectSameEscalations(got.results, want.results);
-        EXPECT_EQ(got.certified, want.certified);
-        EXPECT_EQ(got.uncertified, want.uncertified);
+        const auto got = runOnDataset(engine, plan).adaptive;
+
+        // A ladder-tier result is that tier's scalar kernel value.
+        ASSERT_EQ(got.results.size(), dataset_->size()) << tag;
+        for (size_t i = 0; i < dataset_->size(); ++i) {
+            const engine::EscalationResult &r = got.results[i];
+            if (r.tier == engine::kTierAnalytic) {
+                EXPECT_TRUE(r.certified) << tag << " column " << i;
+                continue;
+            }
+            ASSERT_GE(r.tier, 0) << tag << " column " << i;
+            ASSERT_LT(static_cast<size_t>(r.tier), ladder.tiers.size());
+            expectSameResult(r.result,
+                             scalarPValue(*ladder.tiers[r.tier], i),
+                             tag + " column " + std::to_string(i));
+        }
+        EXPECT_EQ(got.certified + got.uncertified, dataset_->size());
 
         engine::EvalPlan stream_plan = plan;
         stream_plan.source = engine::PlanSource::ShardStream;
         stream_plan.shard_paths = *shard_paths_;
-        const auto streamed = engine.run(stream_plan).adaptive;
-        expectSameEscalations(streamed.results, want.results);
-        EXPECT_EQ(streamed.certified, want.certified);
-        EXPECT_EQ(streamed.uncertified, want.uncertified);
+        expectSameAdaptive(engine.run(stream_plan).adaptive, got, tag);
+
+        // Screened-adaptive: the same memory-vs-stream identity.
+        engine::EvalPlan screened = plan;
+        screened.policy = engine::PlanPolicy::ScreenedAdaptive;
+        engine::EvalPlan screened_stream = stream_plan;
+        screened_stream.policy = engine::PlanPolicy::ScreenedAdaptive;
+        expectSameAdaptive(engine.run(screened_stream).adaptive,
+                           runOnDataset(engine, screened).adaptive,
+                           tag + " screened");
     }
 }
 
-TEST_F(PlanIdentity, HmmKernelsMatchLegacyBatches)
+TEST_F(PlanIdentity, HmmKernelsMatchScalarKernels)
 {
     stats::Rng rng(9109);
     hmm::PhyloConfig phylo;
@@ -525,49 +587,57 @@ TEST_F(PlanIdentity, HmmKernelsMatchLegacyBatches)
         jobs.push_back({&model, seq});
 
     engine::EvalEngine engine(2);
-    for (const std::string id : {"binary64", "log", "log32"}) {
+    engine::PlanInputs inputs;
+    inputs.jobs = jobs;
+    const auto dataflow = engine::Dataflow::Accelerator;
+    for (const auto &id : engine::FormatRegistry::instance().ids()) {
         const auto &format =
             engine::FormatRegistry::instance().at(id);
-        engine::PlanInputs inputs;
-        inputs.jobs = jobs;
+        engine::EvalPlan plan;
+        plan.format_id = id;
 
-        engine::EvalPlan forward;
-        forward.kernel = engine::PlanKernel::Forward;
-        forward.format_id = id;
-        expectSameResults(engine.run(forward, inputs).results,
-                          engine.forwardBatch(format, jobs));
+        plan.kernel = engine::PlanKernel::Forward;
+        const auto forward = engine.run(plan, inputs).results;
+        plan.kernel = engine::PlanKernel::Backward;
+        const auto backward = engine.run(plan, inputs).results;
+        plan.kernel = engine::PlanKernel::Posterior;
+        plan.renormalize = true;
+        const auto posterior = engine.run(plan, inputs).posteriors;
+        plan.kernel = engine::PlanKernel::Viterbi;
+        const auto viterbi = engine.run(plan, inputs).decodes;
+        ASSERT_EQ(forward.size(), jobs.size()) << id;
+        ASSERT_EQ(backward.size(), jobs.size()) << id;
+        ASSERT_EQ(posterior.size(), jobs.size()) << id;
+        ASSERT_EQ(viterbi.size(), jobs.size()) << id;
 
-        engine::EvalPlan backward;
-        backward.kernel = engine::PlanKernel::Backward;
-        backward.format_id = id;
-        expectSameResults(engine.run(backward, inputs).results,
-                          engine.backwardBatch(format, jobs));
+        for (size_t j = 0; j < jobs.size(); ++j) {
+            const std::string tag = id + " job " + std::to_string(j);
+            expectSameResult(forward[j],
+                             format.hmmForward(model, obs[j], dataflow),
+                             tag + " forward");
+            expectSameResult(
+                backward[j],
+                format.hmmBackward(model, obs[j], dataflow),
+                tag + " backward");
 
-        engine::EvalPlan posterior;
-        posterior.kernel = engine::PlanKernel::Posterior;
-        posterior.format_id = id;
-        posterior.renormalize = true;
-        const auto got_post =
-            engine.run(posterior, inputs).posteriors;
-        const auto want_post = engine.posteriorBatch(
-            format, jobs, engine::Dataflow::Accelerator, true);
-        ASSERT_EQ(got_post.size(), want_post.size());
-        for (size_t j = 0; j < got_post.size(); ++j) {
-            expectSameResults(got_post[j].gamma, want_post[j].gamma);
-            EXPECT_TRUE(got_post[j].likelihood.value ==
-                        want_post[j].likelihood.value);
-        }
+            const engine::PosteriorResult want_post =
+                format.hmmPosterior(model, obs[j], dataflow, true);
+            expectSameResults(posterior[j].gamma, want_post.gamma,
+                              tag + " posterior");
+            expectSameResult(posterior[j].likelihood,
+                             want_post.likelihood, tag + " posterior");
+            EXPECT_EQ(posterior[j].first_underflow_step,
+                      want_post.first_underflow_step)
+                << tag;
 
-        engine::EvalPlan viterbi;
-        viterbi.kernel = engine::PlanKernel::Viterbi;
-        viterbi.format_id = id;
-        const auto got_vit = engine.run(viterbi, inputs).decodes;
-        const auto want_vit = engine.viterbiBatch(format, jobs);
-        ASSERT_EQ(got_vit.size(), want_vit.size());
-        for (size_t j = 0; j < got_vit.size(); ++j) {
-            EXPECT_EQ(got_vit[j].path, want_vit[j].path);
-            EXPECT_TRUE(got_vit[j].probability.value ==
-                        want_vit[j].probability.value);
+            const engine::ViterbiResult want_vit =
+                format.hmmViterbi(model, obs[j]);
+            EXPECT_EQ(viterbi[j].path, want_vit.path) << tag;
+            expectSameResult(viterbi[j].probability,
+                             want_vit.probability, tag + " viterbi");
+            EXPECT_EQ(viterbi[j].first_underflow_step,
+                      want_vit.first_underflow_step)
+                << tag;
         }
     }
 }
@@ -584,7 +654,7 @@ TEST_F(PlanIdentity, RunRejectsMissingBindings)
     forward_stream.shard_paths = *shard_paths_;
     EXPECT_THROW(engine.run(forward_stream), std::invalid_argument);
 
-    // A stream plan with neither paths nor a bound stream.
+    // A stream plan without shard paths.
     engine::EvalPlan pathless;
     pathless.source = engine::PlanSource::ShardStream;
     pathless.format_id = "binary64";
@@ -594,38 +664,6 @@ TEST_F(PlanIdentity, RunRejectsMissingBindings)
     engine::EvalPlan invalid;
     invalid.format_id = "no_such_format";
     EXPECT_THROW(engine.run(invalid), std::invalid_argument);
-}
-
-// ------------------------------------------------- legacy counter
-
-TEST(PlanLegacyCounter, WrappersCountAndRunDoesNot)
-{
-    engine::EvalEngine engine(1);
-    pbd::DatasetConfig config;
-    config.num_columns = 4;
-    config.seed = 11;
-    const auto columns = pbd::makeDataset(config, "ctr").columns;
-    const auto &format =
-        engine::FormatRegistry::instance().at("binary64");
-
-    engine::AccuracyTally::resetLegacyApiCalls();
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 0u);
-
-    engine.pvalueBatch(format, columns);
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 1u);
-    engine.pvalueBatch(format, columns);
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 2u);
-
-    // The plan pipeline is the blessed path: no diagnostics.
-    engine::EvalPlan plan;
-    plan.format_id = "binary64";
-    engine::PlanInputs inputs;
-    inputs.columns = columns;
-    engine.run(plan, inputs);
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 2u);
-
-    engine::AccuracyTally::resetLegacyApiCalls();
-    EXPECT_EQ(engine::AccuracyTally::legacyApiCalls(), 0u);
 }
 
 } // namespace

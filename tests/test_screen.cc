@@ -7,14 +7,6 @@
  * every registered format.
  */
 
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -159,10 +151,10 @@ TEST(Screen, ScreenedBatchBitMatchesUnscreenedEveryFormat)
 
     for (const engine::FormatOps *format :
          engine::FormatRegistry::instance().all()) {
-        const auto screened = engine.pvalueScreenedBatch(
-            *format, ds.columns, config, engine::SumPolicy::Plain);
-        const auto exact = engine.pvalueBatch(
-            *format, ds.columns, engine::SumPolicy::Plain);
+        const auto screened = apps::lofreqPValuesScreened(
+            *format, ds, engine, config, engine::SumPolicy::Plain);
+        const auto exact = apps::lofreqPValues(
+            *format, ds, engine, engine::SumPolicy::Plain);
 
         ASSERT_EQ(screened.results.size(), ds.columns.size())
             << format->id();
@@ -232,8 +224,8 @@ TEST(Screen, SkippedSlotsCarryMagnitudePlaceholders)
     const auto ds = screeningDataset();
     engine::EvalEngine engine(2);
     const auto &registry = engine::FormatRegistry::instance();
-    const auto screened = engine.pvalueScreenedBatch(
-        registry.at("binary64"), ds.columns, ScreenConfig{},
+    const auto screened = apps::lofreqPValuesScreened(
+        registry.at("binary64"), ds, engine, ScreenConfig{},
         engine::SumPolicy::Plain);
     for (size_t i = 0; i < ds.columns.size(); ++i) {
         if (!screened.skipped[i])

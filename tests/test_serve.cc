@@ -34,8 +34,10 @@
 
 #include "apps/pstat_cli.hh"
 #include "engine/escalate.hh"
+#include "engine/eval_engine.hh"
 #include "engine/format_registry.hh"
 #include "engine/plan.hh"
+#include "engine/result_sink.hh"
 #include "io/shard.hh"
 #include "pbd/dataset.hh"
 #include "serve/client.hh"
@@ -747,6 +749,104 @@ TEST(ServeServer, CoalescedResponsesMatchSoloResponses)
     }
     server.stop();
     EXPECT_EQ(server.stats().batches, 1u);
+}
+
+TEST(ServeServer, ProvisioningOnlyDifferencesCoalesce)
+{
+    // Plans that differ only in how they are run (threads, grain,
+    // simd, queue capacity) compute the same results, so they share
+    // one engine run — and each response still matches its own plan
+    // run offline, byte for byte.
+    std::vector<serve::ServeRequest> requests;
+    for (uint64_t id = 400; id < 403; ++id)
+        requests.push_back(makeRequest(id, 3 + static_cast<int>(id % 3),
+                                       fixedPlan("log")));
+    requests[0].plan.threads = 3;
+    requests[0].plan.grain = 16;
+    requests[1].plan.threads = 1;
+    requests[2].plan.simd = "scalar";
+    requests[2].plan.queue_capacity = 7;
+
+    serve::ServerConfig config;
+    config.unix_path = tempPath("serve_provisioning.sock");
+    serve::Server server(config);
+    server.pause();
+    auto client = serve::Client::connectUnix(config.unix_path);
+    for (const serve::ServeRequest &request : requests)
+        client.send(request);
+    ASSERT_TRUE(waitFor([&] {
+        return server.stats().admitted == requests.size() &&
+               server.queueDepth() == requests.size();
+    }));
+    server.resume();
+
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const auto response = client.receive();
+        ASSERT_EQ(response.status, serve::RequestStatus::Ok);
+        ASSERT_GE(response.id, 400u);
+        const serve::ServeRequest &request = requests[response.id - 400];
+
+        const std::string tag = std::to_string(response.id);
+        const std::string offline = tempPath("prov_off_" + tag + ".shard");
+        {
+            engine::EvalEngine engine(request.plan.threads,
+                                      request.plan.grain);
+            engine::ShardFileSink file(
+                offline, request.plan.kernel,
+                engine::resultFormatLabel(request.plan));
+            engine::PlanInputs inputs;
+            inputs.columns = request.columns;
+            inputs.result_sink = &file;
+            engine.run(request.plan, inputs);
+        }
+        const std::string daemon = tempPath("prov_dmn_" + tag + ".shard");
+        io::ShardWriter writer(daemon, response.kernel,
+                               response.format_id);
+        for (const serve::ResponseRecord &record : response.records)
+            writer.addResult(record.toShardRecord());
+        writer.close();
+        EXPECT_EQ(readFileBytes(offline), readFileBytes(daemon))
+            << "request " << tag;
+    }
+
+    server.stop();
+    EXPECT_EQ(server.stats().batches, 1u)
+        << "provisioning-only differences split the batch";
+    EXPECT_EQ(server.stats().served, requests.size());
+}
+
+TEST(ServeServer, InvalidProvisioningIsRejectedPerRequest)
+{
+    // Coalescing ignores provisioning knobs, so each plan is
+    // validated on its own: an invalid SIMD token is a typed error
+    // even when a valid same-computation plan is queued with it.
+    serve::ServerConfig config;
+    config.unix_path = tempPath("serve_bad_simd.sock");
+    serve::Server server(config);
+    server.pause();
+    auto client = serve::Client::connectUnix(config.unix_path);
+    client.send(makeRequest(500, 2));
+    auto bad_plan = fixedPlan();
+    bad_plan.simd = "avx1024";
+    client.send(makeRequest(501, 2, bad_plan));
+    ASSERT_TRUE(waitFor([&] {
+        return server.stats().admitted == 1 &&
+               server.stats().errors == 1;
+    }));
+    server.resume();
+
+    for (int i = 0; i < 2; ++i) {
+        const auto response = client.receive();
+        if (response.id == 501u) {
+            EXPECT_EQ(response.status, serve::RequestStatus::Error);
+            EXPECT_NE(response.message.find("avx1024"),
+                      std::string::npos);
+        } else {
+            EXPECT_EQ(response.id, 500u);
+            EXPECT_EQ(response.status, serve::RequestStatus::Ok);
+            EXPECT_EQ(response.records.size(), 2u);
+        }
+    }
 }
 
 TEST(ServeServer, FullQueueRejectsInsteadOfHanging)

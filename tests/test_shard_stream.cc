@@ -2,19 +2,10 @@
  * @file
  * Shard-pipeline tests: BoundedQueue bounds and shutdown, ShardStream
  * ordering / error surfacing / early-drop shutdown, and the engine's
- * streamed entry points (pvalueStream, pvalueScreenedStream,
- * forwardStream) against their in-memory batch counterparts —
- * bit-identical per registered format, as the streaming contract
- * demands.
+ * shard-stream plans (fixed and screened p-values, forward) against
+ * their in-memory counterparts — bit-identical per registered
+ * format, as the streaming contract demands.
  */
-
-// These tests intentionally exercise the PSTAT_LEGACY_API wrappers
-// (bit-identity against the EvalPlan pipeline is part of the
-// contract under test), so silence the deprecation that the
-// -DPSTAT_DEPRECATE_LEGACY_API build leg turns on.
-#if defined(PSTAT_DEPRECATE_LEGACY_API) && defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 #include <optional>
 #include <string>
@@ -225,6 +216,41 @@ TEST(ShardStream, DroppingTheStreamEarlyJoinsTheProducer)
     // Destructor must cancel the queue and join without deadlock.
 }
 
+/** A PValue plan in @p format_id (Fixed unless stated otherwise). */
+engine::EvalPlan
+pvaluePlan(const std::string &format_id,
+           engine::PlanPolicy policy = engine::PlanPolicy::Fixed)
+{
+    engine::EvalPlan plan;
+    plan.policy = policy;
+    plan.format_id = format_id;
+    plan.sum = engine::PlanSum::Plain;
+    return plan;
+}
+
+/** The same plan streamed over @p paths. */
+engine::EvalPlan
+streamed(engine::EvalPlan plan, const std::vector<std::string> &paths)
+{
+    plan.source = engine::PlanSource::ShardStream;
+    plan.shard_paths = paths;
+    return plan;
+}
+
+/** Keeps every streamed shard's screened batch, in shard order. */
+class ScreenedShards final : public engine::ResultSink
+{
+  public:
+    void
+    consumeScreened(const engine::WorkBlock &,
+                    const engine::ScreenedPValueBatch &batch) override
+    {
+        batches.push_back(batch);
+    }
+
+    std::vector<engine::ScreenedPValueBatch> batches;
+};
+
 TEST(EvalEngineStream, PValueStreamBitMatchesBatchEveryFormat)
 {
     const auto paths = writeColumnShards("pvstream", 3, 10);
@@ -233,23 +259,16 @@ TEST(EvalEngineStream, PValueStreamBitMatchesBatchEveryFormat)
 
     for (const auto *format :
          engine::FormatRegistry::instance().all()) {
-        const auto want = engine.pvalueBatch(
-            *format, columns, engine::SumPolicy::Plain);
+        const engine::EvalPlan plan = pvaluePlan(format->id());
+        engine::PlanInputs inputs;
+        inputs.columns = columns;
+        const auto want = engine.run(plan, inputs).results;
 
-        std::vector<engine::EvalResult> got;
-        io::ShardStream stream(paths);
-        const auto stats = engine.pvalueStream(
-            *format, stream,
-            [&](size_t, const io::ShardReader &,
-                std::span<const engine::EvalResult> results) {
-                got.insert(got.end(), results.begin(),
-                           results.end());
-            },
-            engine::SumPolicy::Plain);
-
-        EXPECT_EQ(stats.shards, paths.size());
-        EXPECT_EQ(stats.items, columns.size());
-        EXPECT_GT(stats.peak_mapped_bytes, 0u);
+        const engine::PlanRun run = engine.run(streamed(plan, paths));
+        const auto &got = run.results;
+        EXPECT_EQ(run.stream.shards, paths.size());
+        EXPECT_EQ(run.stream.items, columns.size());
+        EXPECT_GT(run.stream.peak_mapped_bytes, 0u);
         ASSERT_EQ(got.size(), want.size()) << format->id();
         for (size_t i = 0; i < want.size(); ++i) {
             EXPECT_TRUE(got[i].value == want[i].value)
@@ -268,27 +287,25 @@ TEST(EvalEngineStream, ScreenedStreamBitMatchesScreenedBatch)
     config.guard_band_log2 = 32.0;
 
     for (const char *id : {"log", "log32", "binary64", "bfloat16"}) {
-        const auto &format =
-            engine::FormatRegistry::instance().at(id);
+        engine::EvalPlan plan =
+            pvaluePlan(id, engine::PlanPolicy::Screened);
+        plan.screen = config;
 
         // Per shard, the streamed batch must equal the in-memory
         // screened batch over that shard's columns — results, skip
         // mask, estimates, and stats.
-        std::vector<engine::ScreenedPValueBatch> streamed;
-        io::ShardStream stream(paths);
-        engine.pvalueScreenedStream(
-            format, stream,
-            [&](size_t, const io::ShardReader &,
-                const engine::ScreenedPValueBatch &batch) {
-                streamed.push_back(batch);
-            },
-            config, engine::SumPolicy::Plain);
+        ScreenedShards streamed_batches;
+        engine::PlanInputs stream_inputs;
+        stream_inputs.sink = &streamed_batches;
+        engine.run(streamed(plan, paths), stream_inputs);
+        const auto &streamed = streamed_batches.batches;
 
         ASSERT_EQ(streamed.size(), paths.size()) << id;
         for (size_t s = 0; s < paths.size(); ++s) {
             const auto columns = io::readColumnShard(paths[s]);
-            const auto want = engine.pvalueScreenedBatch(
-                format, columns, config, engine::SumPolicy::Plain);
+            engine::PlanInputs inputs;
+            inputs.columns = columns;
+            const auto want = engine.run(plan, inputs).screened;
             const auto &got = streamed[s];
             EXPECT_EQ(got.skipped, want.skipped) << id;
             EXPECT_EQ(got.estimates_log2, want.estimates_log2) << id;
@@ -339,22 +356,22 @@ TEST(EvalEngineStream, ForwardStreamBitMatchesBatchEveryFormat)
     engine::EvalEngine engine(4);
     for (const auto *format :
          engine::FormatRegistry::instance().all()) {
-        const auto want = engine.forwardBatch(
-            *format, jobs, engine::Dataflow::Accelerator);
+        engine::EvalPlan plan;
+        plan.kernel = engine::PlanKernel::Forward;
+        plan.format_id = format->id();
+        plan.dataflow = engine::Dataflow::Accelerator;
+        engine::PlanInputs inputs;
+        inputs.jobs = jobs;
+        inputs.model = &model;
+        const auto want = engine.run(plan, inputs).results;
 
-        std::vector<engine::EvalResult> got;
-        io::ShardStream stream(paths);
-        const auto stats = engine.forwardStream(
-            *format, model, stream,
-            [&](size_t, const io::ShardReader &,
-                std::span<const engine::EvalResult> results) {
-                got.insert(got.end(), results.begin(),
-                           results.end());
-            },
-            engine::Dataflow::Accelerator);
+        plan.source = engine::PlanSource::ShardStream;
+        plan.shard_paths = paths;
+        const engine::PlanRun run = engine.run(plan, inputs);
+        const auto &got = run.results;
 
-        EXPECT_EQ(stats.shards, paths.size());
-        EXPECT_EQ(stats.items, sequences.size());
+        EXPECT_EQ(run.stream.shards, paths.size());
+        EXPECT_EQ(run.stream.items, sequences.size());
         ASSERT_EQ(got.size(), want.size()) << format->id();
         for (size_t i = 0; i < want.size(); ++i) {
             EXPECT_TRUE(got[i].value == want[i].value)
@@ -367,16 +384,14 @@ TEST(EvalEngineStream, ForwardStreamBitMatchesBatchEveryFormat)
 
 TEST(EvalEngineStream, StreamOverNoShardsIsEmpty)
 {
-    engine::EvalEngine engine(2);
+    // A plan cannot name zero shards (run() rejects an empty path
+    // list, see PlanIdentity.RunRejectsMissingBindings), so the
+    // empty stream is checked at the source layer every shard-stream
+    // plan runs on: no block, all-zero bookkeeping.
     io::ShardStream stream(std::vector<std::string>{});
-    const auto &format =
-        engine::FormatRegistry::instance().at("binary64");
-    const auto stats = engine.pvalueStream(
-        format, stream,
-        [&](size_t, const io::ShardReader &,
-            std::span<const engine::EvalResult>) {
-            FAIL() << "sink must not run";
-        });
+    engine::ShardSource source(stream, io::ShardPayload::Columns);
+    EXPECT_FALSE(source.next().has_value());
+    const engine::StreamStats stats = source.stats();
     EXPECT_EQ(stats.shards, 0u);
     EXPECT_EQ(stats.items, 0u);
     EXPECT_EQ(stats.peak_mapped_bytes, 0u);
