@@ -4,10 +4,12 @@
  * underlying every experiment. Context for Section IV-B's remark
  * that "software-emulated posit is too slow for practical use": the
  * gap between hardware-native binary64 and software posit/LSE is
- * visible directly in these throughput numbers.
+ * visible directly in these throughput numbers. BM_Crc32 tracks the
+ * checksum that validates every shard and serve frame.
  */
 
 #include <type_traits>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 #include "core/simd.hh"
 #include "hmm/forward.hh"
 #include "hmm/generator.hh"
+#include "io/shard.hh"
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/pbd_simd.hh"
@@ -372,6 +375,27 @@ BM_LogSumExpStriped(benchmark::State &state)
     state.SetLabel(simd::isaName(isa));
 }
 BENCHMARK(BM_LogSumExpStriped);
+
+// ---------------------------------------------------------------------------
+// CRC-32 over the byte ranges the pipeline validates: a serve-small
+// request's column payload (1,280 bytes) and one stream-fixed shard
+// (3.9 MB).
+// ---------------------------------------------------------------------------
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    stats::Rng rng(32);
+    std::vector<unsigned char> bytes(static_cast<size_t>(state.range(0)));
+    for (unsigned char &b : bytes)
+        b = static_cast<unsigned char>(rng.uniform(0.0, 256.0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            io::crc32(0, bytes.data(), bytes.size()));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(1280)->Arg(3900000);
 
 } // namespace
 

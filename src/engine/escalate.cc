@@ -245,28 +245,6 @@ analyticResult(const pbd::PValueBoundsLog2 &bounds)
     return r;
 }
 
-/** Throw std::invalid_argument on a malformed certification. */
-void
-validateCert(const CertConfig &cert)
-{
-    if (!cert.tol_rel_log2 && !cert.threshold_log2) {
-        throw std::invalid_argument(
-            "adaptive certification needs a tolerance or a "
-            "threshold");
-    }
-    if (cert.tol_rel_log2 &&
-        !(std::isfinite(*cert.tol_rel_log2) &&
-          *cert.tol_rel_log2 < 0.0)) {
-        throw std::invalid_argument(
-            "adaptive tolerance must be a finite negative log2");
-    }
-    if (cert.threshold_log2 &&
-        !std::isfinite(*cert.threshold_log2)) {
-        throw std::invalid_argument(
-            "adaptive threshold must be a finite log2");
-    }
-}
-
 /**
  * The PSTAT_CERT_TOL override: a strictly negative finite log2, or
  * an empty optional (with a one-time stderr diagnostic on garbage).
@@ -384,6 +362,26 @@ analyticInterval(const pbd::PValueBoundsLog2 &bounds)
     iv.rel_bound_log2 =
         bounds.lo_log2 == bounds.hi_log2 ? -kInf : kInf;
     return iv;
+}
+
+void
+mergeTiers(std::vector<TierStats> &totals,
+           std::span<const TierStats> tiers)
+{
+    for (const TierStats &tier : tiers) {
+        const auto it = std::find_if(
+            totals.begin(), totals.end(), [&](const TierStats &t) {
+                return t.format_id == tier.format_id;
+            });
+        if (it == totals.end()) {
+            totals.push_back(tier);
+            continue;
+        }
+        it->evaluated += tier.evaluated;
+        it->certified += tier.certified;
+        it->bypassed += tier.bypassed;
+        it->wall_ms += tier.wall_ms;
+    }
 }
 
 bool
@@ -559,8 +557,6 @@ EvalEngine::adaptiveEval(
     const CertConfig &cert,
     const std::optional<pbd::ScreenConfig> &screen, SumPolicy sum)
 {
-    validateCert(cert);
-
     AdaptiveBatch out;
     out.cert = cert;
     out.results.resize(n);
@@ -717,8 +713,6 @@ EvalEngine::forwardAdaptiveStage(const Ladder &ladder,
                                  std::span<const ForwardJob> jobs,
                                  const CertConfig &cert, Dataflow dataflow)
 {
-    validateCert(cert);
-
     const size_t n = jobs.size();
     AdaptiveBatch out;
     out.cert = cert;

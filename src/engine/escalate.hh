@@ -163,6 +163,14 @@ struct TierStats
     double wall_ms = 0.0;   //!< wall time of the tier's stage
 };
 
+/**
+ * Fold per-tier tallies into running totals: a tier matches by
+ * format_id, new tiers append in first-seen order, and the counts
+ * and wall time add.
+ */
+void mergeTiers(std::vector<TierStats> &totals,
+                std::span<const TierStats> tiers);
+
 /** Result of one adaptive batch evaluation. */
 struct AdaptiveBatch
 {

@@ -404,20 +404,7 @@ AccuracyTally::add(const BigFloat &oracle, const EvalResult &result)
 void
 AccuracyTally::recordTiers(std::span<const TierStats> tiers)
 {
-    for (const TierStats &tier : tiers) {
-        const auto it = std::find_if(
-            tiers_.begin(), tiers_.end(), [&](const TierStats &t) {
-                return t.format_id == tier.format_id;
-            });
-        if (it == tiers_.end()) {
-            tiers_.push_back(tier);
-            continue;
-        }
-        it->evaluated += tier.evaluated;
-        it->certified += tier.certified;
-        it->bypassed += tier.bypassed;
-        it->wall_ms += tier.wall_ms;
-    }
+    mergeTiers(tiers_, tiers);
 }
 
 } // namespace pstat::engine

@@ -276,8 +276,9 @@ validatePlan(const EvalPlan &plan)
         for (const std::string &id : plan.ladder_ids)
             if (registry.find(id) == nullptr)
                 invalid("unknown ladder tier \"" + id + "\"");
-        // Certification criteria, mirrored from escalate.cc's
-        // validateCert so a bad plan fails before any tier runs.
+        // Certification criteria. The adaptive stages do not check
+        // them again, so a bad plan must fail here, before any tier
+        // runs.
         if (!plan.cert.tol_rel_log2 && !plan.cert.threshold_log2)
             invalid("adaptive certification needs at least one "
                     "criterion (tol_rel_log2 or threshold_log2)");

@@ -1,6 +1,5 @@
 #include "engine/result_sink.hh"
 
-#include <algorithm>
 #include <utility>
 
 namespace pstat::engine
@@ -28,9 +27,7 @@ mergeScreened(ScreenedPValueBatch &total,
     total.stats.guard_band_hits += batch.stats.guard_band_hits;
 }
 
-/** Fold one shard's adaptive batch into the PlanRun accumulator
- *  (tier tallies merged by format_id in first-seen order, exactly
- *  like AccuracyTally::recordTiers). */
+/** Fold one shard's adaptive batch into the PlanRun accumulator. */
 void
 mergeAdaptive(AdaptiveBatch &total, const AdaptiveBatch &batch)
 {
@@ -42,21 +39,7 @@ mergeAdaptive(AdaptiveBatch &total, const AdaptiveBatch &batch)
     total.estimates_log2.insert(total.estimates_log2.end(),
                                 batch.estimates_log2.begin(),
                                 batch.estimates_log2.end());
-    for (const TierStats &tier : batch.tiers) {
-        const auto it = std::find_if(
-            total.tiers.begin(), total.tiers.end(),
-            [&](const TierStats &t) {
-                return t.format_id == tier.format_id;
-            });
-        if (it == total.tiers.end()) {
-            total.tiers.push_back(tier);
-            continue;
-        }
-        it->evaluated += tier.evaluated;
-        it->certified += tier.certified;
-        it->bypassed += tier.bypassed;
-        it->wall_ms += tier.wall_ms;
-    }
+    mergeTiers(total.tiers, batch.tiers);
     total.certified += batch.certified;
     total.uncertified += batch.uncertified;
     total.screen_stats.columns += batch.screen_stats.columns;

@@ -461,6 +461,22 @@ TEST(ServeFrame, CorruptionMatrixOverASocket)
              writeRaw(pair.fds[0], &trailer, sizeof(trailer));
          },
          "CRC mismatch"},
+        {"flipped body byte",
+         [](SocketPair &pair) {
+             // Long enough for the folded CRC path, with a 12-byte
+             // tail; the trailer is the CRC of the unflipped body.
+             std::vector<uint8_t> body(1500);
+             for (size_t i = 0; i < body.size(); ++i)
+                 body[i] = static_cast<uint8_t>(37 * i + 11);
+             const uint64_t trailer =
+                 io::crc32(0, body.data(), body.size());
+             body[body.size() / 2] ^= 0x40;
+             const auto header = requestHeader(body.size());
+             writeRaw(pair.fds[0], &header, sizeof(header));
+             writeRaw(pair.fds[0], body.data(), body.size());
+             writeRaw(pair.fds[0], &trailer, sizeof(trailer));
+         },
+         "CRC mismatch"},
     };
 
     for (const Case &corruption : cases) {

@@ -270,12 +270,31 @@ TEST(Shard, UnknownPayloadTagIsRejected)
 
 TEST(Shard, CorruptedPayloadFailsTheCrc)
 {
+    // A multi-MB shard, so the CRC runs its wide fold; 41 records of
+    // 8 + 8 * 10000 bytes leave a payload of 8 mod 16, so its last
+    // bytes go through the per-byte tail.
+    std::vector<pbd::Column> columns(41);
+    stats::Rng rng(20261019);
+    for (auto &col : columns) {
+        col.success_probs.resize(10000);
+        for (double &p : col.success_probs)
+            p = rng.uniform(0.0, 1.0);
+        col.k = 3;
+    }
     const std::string path = tempPath("crc.shard");
-    io::writeColumnShard(path, makeColumns());
+    io::writeColumnShard(path, columns);
     auto bytes = slurp(path);
-    bytes[sizeof(io::ShardHeader) + 40] ^= 0x01; // one payload bit
+    const size_t begin = sizeof(io::ShardHeader);
+    const size_t end = bytes.size() - io::shard_trailer_bytes;
+    ASSERT_EQ((end - begin) % 16, 8u);
+    for (const size_t at : {begin + 40, (begin + end) / 2, end - 2}) {
+        bytes[at] ^= 0x01; // one payload bit
+        spit(path, bytes);
+        expectShardError(path, "CRC");
+        bytes[at] ^= 0x01;
+    }
     spit(path, bytes);
-    expectShardError(path, "CRC");
+    EXPECT_EQ(io::ShardReader(path).size(), columns.size());
 }
 
 TEST(Shard, RecordOverrunIsRejectedEvenWithAValidCrc)
@@ -334,6 +353,23 @@ TEST(Shard, WriterRejectsPayloadKindMisuse)
     sequences.close();
 }
 
+/** The bytewise table CRC-32 the shard format was defined with. */
+uint32_t
+referenceCrc32(uint32_t crc, const unsigned char *bytes, size_t len)
+{
+    uint32_t table[256];
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    crc ^= 0xffffffffu;
+    for (size_t i = 0; i < len; ++i)
+        crc = table[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
+    return crc ^ 0xffffffffu;
+}
+
 TEST(Shard, Crc32MatchesKnownVectors)
 {
     // The classic check value of CRC-32/ISO-HDLC ("123456789").
@@ -344,6 +380,43 @@ TEST(Shard, Crc32MatchesKnownVectors)
     const uint32_t chained =
         io::crc32(io::crc32(0, "strea", 5), "ming", 4);
     EXPECT_EQ(once, chained);
+
+    // Long inputs, checked against zlib.crc32.
+    std::vector<unsigned char> ramp(1u << 20);
+    for (size_t i = 0; i < ramp.size(); ++i)
+        ramp[i] = static_cast<unsigned char>(i & 0xffu);
+    EXPECT_EQ(io::crc32(0, ramp.data(), ramp.size()), 0x04d0e435u);
+    std::vector<unsigned char> odd(1000003);
+    for (size_t i = 0; i < odd.size(); ++i)
+        odd[i] = static_cast<unsigned char>((131 * i + 7) & 0xffu);
+    EXPECT_EQ(io::crc32(0, odd.data(), odd.size()), 0x80b27ce7u);
+}
+
+TEST(Shard, Crc32MatchesTheTableLoopAtEveryLengthAndOffset)
+{
+    std::vector<unsigned char> bytes(16 + 300);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 2654435761u >> 13);
+    for (size_t offset = 0; offset < 16; ++offset)
+        for (size_t len = 0; len <= 300; ++len)
+            ASSERT_EQ(io::crc32(0x9e3779b9u, bytes.data() + offset, len),
+                      referenceCrc32(0x9e3779b9u, bytes.data() + offset,
+                                     len))
+                << "offset " << offset << ", length " << len;
+}
+
+TEST(Shard, Crc32ChainsAtEverySplit)
+{
+    std::vector<unsigned char> bytes(4096);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 40503u >> 5);
+    const uint32_t whole = io::crc32(0, bytes.data(), bytes.size());
+    ASSERT_EQ(whole, referenceCrc32(0, bytes.data(), bytes.size()));
+    for (size_t split = 0; split <= bytes.size(); ++split)
+        ASSERT_EQ(io::crc32(io::crc32(0, bytes.data(), split),
+                            bytes.data() + split, bytes.size() - split),
+                  whole)
+            << "split at " << split;
 }
 
 } // namespace
