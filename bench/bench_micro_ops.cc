@@ -5,7 +5,8 @@
  * that "software-emulated posit is too slow for practical use": the
  * gap between hardware-native binary64 and software posit/LSE is
  * visible directly in these throughput numbers. BM_Crc32 tracks the
- * checksum that validates every shard and serve frame.
+ * checksum that validates every shard and serve frame, and
+ * BM_CertifiedBounds the analytic tier of the adaptive ladder.
  */
 
 #include <type_traits>
@@ -25,6 +26,7 @@
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/pbd_simd.hh"
+#include "pbd/screen.hh"
 #include "stats/rng.hh"
 
 namespace
@@ -375,6 +377,54 @@ BM_LogSumExpStriped(benchmark::State &state)
     state.SetLabel(simd::isaName(isa));
 }
 BENCHMARK(BM_LogSumExpStriped);
+
+// ---------------------------------------------------------------------------
+// The analytic tier of the adaptive ladder: pbd::certifiedBoundsLog2
+// over a fig16-style mix at mean Phred 20 (six deep datasets with
+// their variant columns plus a borderline slice near 2^-200). One
+// iteration bounds one column, so the reported time is the mean
+// cost per column over the mix.
+// ---------------------------------------------------------------------------
+
+const std::vector<pbd::Column> &
+deepColumnMix()
+{
+    static const std::vector<pbd::Column> mix = [] {
+        std::vector<pbd::Column> out;
+        for (int d = 0; d < 6; ++d) {
+            pbd::DatasetConfig config;
+            config.num_columns = 100;
+            config.median_coverage = 1800.0 + 250.0 * d;
+            config.coverage_sigma = 0.40;
+            config.mean_phred = 20.0 + 1.0 * (d % 3);
+            config.phred_sigma = 3.0;
+            config.variant_fraction = 0.04;
+            config.seed = 1601ULL + 97ULL * d;
+            auto ds = pbd::makeDataset(config, "micro_bounds");
+            stats::Rng rng(1601ULL * 31ULL + d);
+            for (int i = 0; i < config.num_columns / 5; ++i)
+                ds.columns.push_back(pbd::makeColumnWithTarget(
+                    rng, rng.uniform(150.0, 260.0)));
+            for (auto &column : ds.columns)
+                out.push_back(std::move(column));
+        }
+        return out;
+    }();
+    return mix;
+}
+
+void
+BM_CertifiedBounds(benchmark::State &state)
+{
+    const auto views = pbd::viewsOf(deepColumnMix());
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(pbd::certifiedBoundsLog2(views[i]));
+        i = i + 1 == views.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CertifiedBounds)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // CRC-32 over the byte ranges the pipeline validates: a serve-small

@@ -12,8 +12,10 @@
  * interval fails to certify the answer — relative to a caller
  * tolerance, a decision threshold (LoFreq's 2^-200 cutoff plugs in
  * directly), or both — escalate to the next tier of a configurable
- * ladder (default bfloat16 -> binary32 -> binary64 -> log ->
- * ScaledDD, PSTAT_LADDER overridable).
+ * ladder (default binary64 -> log -> ScaledDD, ordered by measured
+ * software cost; PSTAT_LADDER overridable, e.g. with the paper's
+ * hardware order bfloat16 -> binary32 -> binary64 -> log ->
+ * ScaledDD).
  *
  * The correctness contract: a certified result is *never* wrong.
  * Every bound here is conservative (one-sidedness of nonnegative
@@ -111,10 +113,11 @@ struct Ladder
 };
 
 /**
- * The default ladder bfloat16 -> binary32 -> binary64 -> log ->
- * scaled_dd, overridable via PSTAT_LADDER (a comma-separated list of
- * registry ids/aliases; invalid specs warn once and fall back).
- * Cached after the first call.
+ * The default ladder binary64 -> log -> scaled_dd, cheapest first by
+ * measured software cost (bfloat16 and binary32 stay registered for
+ * explicit ladders), overridable via PSTAT_LADDER (a comma-separated
+ * list of registry ids/aliases; invalid specs warn once and fall
+ * back). Cached after the first call.
  */
 const Ladder &defaultLadder();
 

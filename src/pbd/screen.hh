@@ -132,7 +132,7 @@ struct PValueBoundsLog2
 };
 
 /**
- * O(N log N) certified enclosure of P(X >= K) — the analytic tier of
+ * One-pass certified enclosure of P(X >= K) — the analytic tier of
  * the adaptive escalation ladder (engine/escalate.hh), and the
  * rigorous counterpart of pvalueLog2Estimate: where the
  * Cramér–Chernoff estimate is accurate but heuristic, these bounds
@@ -144,11 +144,17 @@ struct PValueBoundsLog2
  * inequality e_K <= C(N,K) * pbar^K, pbar the arithmetic mean.
  * Lower endpoint: the single outcome "the K most probable reads all
  * succeed and every other read fails", whose probability is a
- * product of known factors. Both endpoints are padded by 2 bits plus
- * a term covering every libm rounding in their own evaluation, so
- * the enclosure holds for the exact real-arithmetic p-value; the
- * differential harness (tests/test_escalate.cc) audits this against
- * the BigFloat oracle over adversarial columns.
+ * product of known factors. One pass over the column validates the
+ * reads, sums p, selects the top K (a stack heap for small K, a
+ * reused per-thread buffer and nth_element for large K) and carries
+ * the product of (1 - p) over the other reads renormalised by
+ * exponent, so the lower endpoint takes K logs rather than N and no
+ * call allocates once a lane's buffer has grown. Both endpoints are
+ * padded by 2 bits plus a term covering every rounding in their own
+ * evaluation, so the enclosure holds for the exact real-arithmetic
+ * p-value; the differential harnesses (tests/test_escalate.cc,
+ * tests/test_bounds_diff.cc) audit this against the BigFloat oracle
+ * over adversarial columns.
  *
  * Edge cases: K <= 0 gives the exact enclosure [1, 1]; K > N (an
  * impossible event) and all-zero probability columns give the exact

@@ -86,14 +86,60 @@ TEST(Ladder, ParsesSpecsAgainstTheRegistry)
         engine::parseLadder("binary64 binary32").has_value());
 }
 
-TEST(Ladder, DefaultClimbsFromCheapToCertain)
+TEST(Ladder, DefaultStartsAtBinary64)
 {
     if (std::getenv("PSTAT_LADDER") != nullptr)
         GTEST_SKIP() << "PSTAT_LADDER overrides the default ladder";
+    // Ordered by software cost: bfloat16 and binary32 are no cheaper
+    // than binary64 in scalar code and certify fewer columns.
     const engine::Ladder &ladder = engine::defaultLadder();
-    ASSERT_EQ(ladder.tiers.size(), 5u);
-    EXPECT_EQ(ladder.tiers.front()->id(), "bfloat16");
-    EXPECT_EQ(ladder.tiers.back()->id(), "scaled_dd");
+    ASSERT_EQ(ladder.tiers.size(), 3u);
+    EXPECT_EQ(ladder.tiers[0]->id(), "binary64");
+    EXPECT_EQ(ladder.tiers[1]->id(), "log");
+    EXPECT_EQ(ladder.tiers[2]->id(), "scaled_dd");
+}
+
+TEST(Ladder, PaperLadderStillCertifiesEverything)
+{
+    // The paper's hardware order, narrow formats first, stays
+    // selectable: it parses, and run(plan) climbs it to full
+    // certified coverage.
+    const auto ladder = engine::parseLadder(
+        "bfloat16,binary32,binary64,log,scaled_dd");
+    ASSERT_TRUE(ladder.has_value());
+    ASSERT_EQ(ladder->tiers.size(), 5u);
+    EXPECT_EQ(ladder->tiers[0]->id(), "bfloat16");
+    EXPECT_EQ(ladder->tiers[1]->id(), "binary32");
+
+    pbd::DatasetConfig config;
+    config.num_columns = 200;
+    config.median_coverage = 300.0;
+    config.mean_phred = 20.0;
+    config.variant_fraction = 0.05;
+    config.seed = 1616;
+    auto dataset = pbd::makeDataset(config, "paper-ladder");
+    stats::Rng rng(1616);
+    for (int i = 0; i < 40; ++i)
+        dataset.columns.push_back(
+            pbd::makeColumnWithTarget(rng, rng.uniform(150.0, 260.0)));
+
+    engine::EvalPlan plan;
+    plan.policy = engine::PlanPolicy::Adaptive;
+    plan.cert.threshold_log2 = -200.0;
+    for (const engine::FormatOps *tier : ladder->tiers)
+        plan.ladder_ids.push_back(tier->id());
+    engine::PlanInputs inputs;
+    inputs.columns = dataset.columns;
+    const engine::AdaptiveBatch batch =
+        sharedEngine().run(plan, inputs).adaptive;
+    EXPECT_EQ(batch.uncertified, 0u);
+    EXPECT_EQ(batch.certified, dataset.columns.size());
+    // The narrow tiers ran: the borderline slice climbs past the
+    // analytic bounds into bfloat16 first.
+    ASSERT_GE(batch.tiers.size(), 2u);
+    EXPECT_EQ(batch.tiers[0].format_id, "analytic");
+    EXPECT_EQ(batch.tiers[1].format_id, "bfloat16");
+    EXPECT_GT(batch.tiers[1].evaluated + batch.tiers[1].bypassed, 0u);
 }
 
 TEST(Certifies, HonorsToleranceThresholdAndBoth)
