@@ -5,10 +5,16 @@
  * that "software-emulated posit is too slow for practical use": the
  * gap between hardware-native binary64 and software posit/LSE is
  * visible directly in these throughput numbers. BM_Crc32 tracks the
- * checksum that validates every shard and serve frame, and
- * BM_CertifiedBounds the analytic tier of the adaptive ladder.
+ * checksum that validates every shard and serve frame,
+ * BM_CertifiedBounds the analytic tier of the adaptive ladder, and
+ * BM_PValueStage how the p-value stages chunk a block for the SIMD
+ * batch kernel.
  */
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -349,6 +355,72 @@ BM_PbdBatchSimd(benchmark::State &state)
 }
 BENCHMARK(BM_PbdBatchSimd<double>);
 BENCHMARK(BM_PbdBatchSimd<float>);
+
+/**
+ * One stream-fixed-style block: 250 deep background columns (median
+ * coverage 1800, Phred 30, no variant columns), as one shard holds.
+ */
+const std::vector<pbd::Column> &
+streamBlock()
+{
+    static const std::vector<pbd::Column> columns = [] {
+        pbd::DatasetConfig config;
+        config.num_columns = 250;
+        config.median_coverage = 1800.0;
+        config.coverage_sigma = 0.4;
+        config.mean_phred = 30.0;
+        config.variant_fraction = 0.0;
+        config.seed = 9001;
+        return pbd::makeDataset(config, "micro_stream_block").columns;
+    }();
+    return columns;
+}
+
+/**
+ * How a p-value stage hands one block to the binary64 batch kernel.
+ * Arg 0: 7-column calls in input order, the chunks an auto grain of
+ * 250 / (4 lanes * 8) cuts. Arg 1: the block put in tileOrder once,
+ * then 8-column (tile_columns) calls. Reports microseconds per
+ * column on one thread.
+ */
+void
+BM_PValueStage(benchmark::State &state)
+{
+    const bool tiled = state.range(0) != 0;
+    const auto views = pbd::viewsOf(streamBlock());
+    const size_t chunk = tiled ? pbd::tile_columns : 7;
+    const simd::Isa isa = simd::activeIsa();
+    std::vector<pbd::ColumnView> chunk_views;
+    std::vector<double> chunk_out;
+    std::vector<double> out(views.size());
+    for (auto _ : state) {
+        std::vector<uint32_t> order(views.size());
+        if (tiled)
+            order = pbd::tileOrder(views);
+        else
+            std::iota(order.begin(), order.end(), 0U);
+        for (size_t begin = 0; begin < views.size(); begin += chunk) {
+            const size_t end = std::min(views.size(), begin + chunk);
+            chunk_views.clear();
+            for (size_t j = begin; j < end; ++j)
+                chunk_views.push_back(views[order[j]]);
+            chunk_out.resize(end - begin);
+            pbd::pvalueBatchSimd<double>(chunk_views, chunk_out, isa);
+            for (size_t j = begin; j < end; ++j)
+                out[order[j]] = chunk_out[j - begin];
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["us_per_column"] = benchmark::Counter(
+        1e-6 * static_cast<double>(views.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+    state.SetLabel(std::string(tiled ? "tile-ordered 8-column"
+                                     : "unsorted 7-column") +
+                   " calls, " + simd::isaName(isa));
+}
+BENCHMARK(BM_PValueStage)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void
 BM_LogSumExpNaryScalar(benchmark::State &state)

@@ -658,45 +658,30 @@ EvalEngine::adaptiveEval(
         stats.evaluated = eval_idx.size();
         stats.bypassed = pending.size() - eval_idx.size();
 
-        // Evaluate this tier's share: each lane gathers its chunk's
-        // columns into one batch call (the SIMD formats tile across
-        // them) and scatters results back, exactly as screenedEval.
+        // Evaluate this tier's share in the block's tile order; each
+        // lane certifies what it evaluated. The flag is indexed by
+        // column, so the walk below is independent of that order.
         const ErrorModel model = format.errorModel();
-        std::vector<uint8_t> certified_flag(eval_idx.size(), 0);
-        parallelForChunks(
-            eval_idx.size(), [&](size_t begin, size_t end) {
-                std::vector<pbd::ColumnView> views;
-                views.reserve(end - begin);
-                for (size_t j = begin; j < end; ++j)
-                    views.push_back(column(eval_idx[j]));
-                std::vector<EvalResult> evaluated(end - begin);
-                format.pbdPValueBatch(views, sum, evaluated);
-                for (size_t j = begin; j < end; ++j) {
-                    const size_t i = eval_idx[j];
-                    const ResultInterval iv = pbdPValueInterval(
-                        model, views[j - begin], sum,
-                        evaluated[j - begin]);
-                    const bool ok = certifies(iv, cert);
-                    out.results[i] = EscalationResult{
-                        std::move(evaluated[j - begin]),
-                        static_cast<int>(t), ok, iv};
-                    certified_flag[j] = ok ? 1 : 0;
-                }
-            });
+        std::vector<uint8_t> certified_flag(n, 0);
+        pvalueTiled(format, eval_idx, column, sum,
+                    [&](size_t i, const pbd::ColumnView &view,
+                        EvalResult &result) {
+                        const ResultInterval iv =
+                            pbdPValueInterval(model, view, sum, result);
+                        const bool ok = certifies(iv, cert);
+                        out.results[i] = EscalationResult{
+                            std::move(result), static_cast<int>(t), ok,
+                            iv};
+                        certified_flag[i] = ok ? 1 : 0;
+                    });
 
         std::vector<size_t> next;
         next.reserve(pending.size());
-        size_t cursor = 0;
         for (size_t j = 0; j < pending.size(); ++j) {
-            if (!feasible[j]) {
-                next.push_back(pending[j]);
-                continue;
-            }
-            if (certified_flag[cursor])
+            if (certified_flag[pending[j]])
                 ++stats.certified;
             else
                 next.push_back(pending[j]);
-            ++cursor;
         }
         stats.wall_ms = timer.ms();
         out.tiers.push_back(stats);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "core/accuracy.hh"
@@ -11,6 +12,7 @@
 #include "hmm/decode.hh"
 #include "hmm/forward.hh"
 #include "pbd/pbd.hh"
+#include "pbd/pbd_simd.hh"
 
 namespace pstat::engine
 {
@@ -179,23 +181,44 @@ EvalEngine::run(const EvalPlan &plan, const PlanInputs &inputs)
     return out;
 }
 
+void
+EvalEngine::pvalueTiled(
+    const FormatOps &format, std::span<const size_t> indices,
+    const std::function<pbd::ColumnView(size_t)> &column, SumPolicy sum,
+    const PValueDelivery &deliver)
+{
+    const size_t n = indices.size();
+    std::vector<pbd::ColumnView> views(n);
+    for (size_t j = 0; j < n; ++j)
+        views[j] = column(indices[j]);
+    const std::vector<uint32_t> order = pbd::tileOrder(views);
+    std::vector<pbd::ColumnView> ordered(n);
+    for (size_t j = 0; j < n; ++j)
+        ordered[j] = views[order[j]];
+    parallelForChunks(
+        n,
+        [&](size_t begin, size_t end) {
+            const auto chunk = std::span<const pbd::ColumnView>(ordered)
+                                   .subspan(begin, end - begin);
+            std::vector<EvalResult> results(chunk.size());
+            format.pbdPValueBatch(chunk, sum, results);
+            for (size_t j = 0; j < chunk.size(); ++j)
+                deliver(indices[order[begin + j]], chunk[j], results[j]);
+        },
+        pbd::tile_columns);
+}
+
 std::vector<EvalResult>
 EvalEngine::pvalueFixedStage(const FormatOps &format,
                              const WorkBlock &block, SumPolicy sum)
 {
     std::vector<EvalResult> out(block.items);
-    // Each lane hands its whole claimed chunk to the format's batch
-    // entry, so the SIMD formats tile across the chunk's columns
-    // instead of dispatching one at a time.
-    parallelForChunks(block.items, [&](size_t begin, size_t end) {
-        std::vector<pbd::ColumnView> views;
-        views.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i)
-            views.push_back(block.column(i));
-        format.pbdPValueBatch(
-            views, sum,
-            std::span<EvalResult>(out).subspan(begin, end - begin));
-    });
+    std::vector<size_t> all(block.items);
+    std::iota(all.begin(), all.end(), size_t{0});
+    pvalueTiled(format, all, block.column, sum,
+                [&](size_t i, const pbd::ColumnView &, EvalResult &r) {
+                    out[i] = std::move(r);
+                });
     return out;
 }
 
@@ -248,29 +271,20 @@ EvalEngine::screenedEval(
     // Stage 2: the exact O(N*K) DP only where the screen demands
     // it. Skipped slots get a magnitude placeholder (their estimate
     // is finite: -inf and deeply negative estimates never skip).
-    // Each chunk gathers its surviving columns into one batch call
-    // (the SIMD formats tile across them) and scatters the results
-    // back — same per-column bits as the serial per-index loop.
     out.results.resize(n);
-    parallelForChunks(n, [&](size_t begin, size_t end) {
-        std::vector<pbd::ColumnView> views;
-        std::vector<size_t> survivors;
-        for (size_t i = begin; i < end; ++i) {
-            if (out.skipped[i]) {
-                out.results[i].value = BigFloat::twoPow(
-                    std::llround(out.estimates_log2[i]));
-                continue;
-            }
+    std::vector<size_t> survivors;
+    survivors.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        if (out.skipped[i])
+            out.results[i].value =
+                BigFloat::twoPow(std::llround(out.estimates_log2[i]));
+        else
             survivors.push_back(i);
-            views.push_back(column(i));
-        }
-        if (survivors.empty())
-            return;
-        std::vector<EvalResult> evaluated(survivors.size());
-        format.pbdPValueBatch(views, sum, evaluated);
-        for (size_t j = 0; j < survivors.size(); ++j)
-            out.results[survivors[j]] = evaluated[j];
-    });
+    }
+    pvalueTiled(format, survivors, column, sum,
+                [&](size_t i, const pbd::ColumnView &, EvalResult &r) {
+                    out.results[i] = std::move(r);
+                });
     return out;
 }
 

@@ -133,18 +133,19 @@ class EvalEngine
 
     /**
      * Run fn(begin, end) over a partition of [0, n): each call is one
-     * claimed chunk of consecutive indices (grainForBatch-sized, so a
-     * lane sees whole multi-column spans, not single indices — the
-     * entry the SoA SIMD batch kernels ride on). The serial fast path
+     * claimed chunk of consecutive indices (grainForBatch-sized,
+     * rounded up to a multiple of @p align, so a lane sees whole
+     * multi-column spans, not single indices). The serial fast path
      * is one fn(0, n) call. Blocks until the batch drains; exceptions
      * from fn abandon that chunk's remainder and are rethrown on the
      * calling thread. fn must be safe to call concurrently for
      * disjoint chunks.
      */
     void parallelForChunks(size_t n,
-                           const std::function<void(size_t, size_t)> &fn)
+                           const std::function<void(size_t, size_t)> &fn,
+                           size_t align = 1)
     {
-        executor_.parallelForChunks(n, fn);
+        executor_.parallelForChunks(n, fn, align);
     }
 
     /**
@@ -235,6 +236,24 @@ class EvalEngine
     viterbiStage(const FormatOps &format,
                  std::span<const ForwardJob> jobs);
     ///@}
+
+    /** Receives one evaluated column: its index, view and result. */
+    using PValueDelivery = std::function<void(
+        size_t, const pbd::ColumnView &, EvalResult &)>;
+
+    /**
+     * The one p-value batch path of every p-value stage: @p format's
+     * p-value of column(i) for each i in @p indices, handed to
+     * deliver(i, view, result) on the lane that evaluated it. The
+     * block is put in pbd::tileOrder once and lanes claim chunks on
+     * multiples of pbd::tile_columns, so the SIMD formats run the
+     * block's own tiles whatever the lane count or grain. Each
+     * result is bit-identical to the scalar kernel on its column.
+     */
+    void pvalueTiled(const FormatOps &format,
+                     std::span<const size_t> indices,
+                     const std::function<pbd::ColumnView(size_t)> &column,
+                     SumPolicy sum, const PValueDelivery &deliver);
 
     /**
      * The screened two-stage pipeline (estimate everywhere, exact DP

@@ -206,12 +206,13 @@ Executor::parallelFor(size_t n,
             for (size_t i = begin; i < end; ++i)
                 fn(i);
         };
-    runBatch(n, chunk_fn);
+    runBatch(n, chunk_fn, 1);
 }
 
 void
 Executor::parallelForChunks(
-    size_t n, const std::function<void(size_t, size_t)> &fn)
+    size_t n, const std::function<void(size_t, size_t)> &fn,
+    size_t align)
 {
     if (n == 0)
         return;
@@ -221,19 +222,20 @@ Executor::parallelForChunks(
         runHooked(fn, 0, n);
         return;
     }
-    runBatch(n, fn);
+    runBatch(n, fn, align);
 }
 
 void
 Executor::runBatch(size_t n,
-                   const std::function<void(size_t, size_t)> &fn)
+                   const std::function<void(size_t, size_t)> &fn,
+                   size_t align)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         job_ = &fn;
         next_ = 0;
         total_ = n;
-        batch_grain_ = grainFor(n);
+        batch_grain_ = grainFor(n, align);
         first_error_ = nullptr;
         ++epoch_;
     }

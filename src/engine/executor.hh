@@ -76,16 +76,23 @@ class Executor
     /**
      * The scheduling grain an n-item batch would run with: the
      * constructor/PSTAT_GRAIN override when set, else the auto size
-     * max(1, n / (lanes * 8)). Exposed so the grain resolution is
-     * testable and benches can report it.
+     * max(1, n / (lanes * 8)), rounded up to a whole multiple of
+     * @p align (0 counts as 1). The grain always counts items; align
+     * only widens it to whole tiles. Exposed so the grain resolution
+     * is testable and benches can report it.
      */
     size_t
-    grainFor(size_t n) const
+    grainFor(size_t n, size_t align = 1) const
     {
-        if (grain_override_ != 0)
-            return grain_override_;
-        const size_t auto_grain = n / (size_t{lanes_} * 8);
-        return auto_grain == 0 ? 1 : auto_grain;
+        size_t grain = grain_override_;
+        if (grain == 0) {
+            grain = n / (size_t{lanes_} * 8);
+            if (grain == 0)
+                grain = 1;
+        }
+        if (align > 1)
+            grain = (grain + align - 1) / align * align;
+        return grain;
     }
 
     /**
@@ -99,15 +106,18 @@ class Executor
 
     /**
      * Run fn(begin, end) over a partition of [0, n): each call is
-     * one claimed chunk of consecutive indices (grainFor-sized, so a
-     * lane sees whole multi-item spans, not single indices). The
-     * serial fast path is one fn(0, n) call. Blocks until the batch
-     * drains; exceptions from fn abandon that chunk's remainder and
-     * are rethrown on the calling thread. fn must be safe to call
-     * concurrently for disjoint chunks.
+     * one claimed chunk of consecutive indices (grainFor(n, align)
+     * items, so a lane sees whole multi-item spans, not single
+     * indices, and every chunk but the last starts and ends on a
+     * multiple of @p align). The serial fast path is one fn(0, n)
+     * call. Blocks until the batch drains; exceptions from fn
+     * abandon that chunk's remainder and are rethrown on the calling
+     * thread. fn must be safe to call concurrently for disjoint
+     * chunks.
      */
     void parallelForChunks(
-        size_t n, const std::function<void(size_t, size_t)> &fn);
+        size_t n, const std::function<void(size_t, size_t)> &fn,
+        size_t align = 1);
 
     /**
      * Install (or, with an empty function, remove) the per-chunk
@@ -122,7 +132,8 @@ class Executor
   private:
     void workerLoop();
     void runBatch(size_t n,
-                  const std::function<void(size_t, size_t)> &fn);
+                  const std::function<void(size_t, size_t)> &fn,
+                  size_t align);
     bool claimChunk(size_t &begin, size_t &end);
     void drainChunks(const std::function<void(size_t, size_t)> &fn);
     void runHooked(const std::function<void(size_t, size_t)> &fn,

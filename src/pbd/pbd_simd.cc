@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 
 #include "core/real_traits.hh"
@@ -144,53 +143,19 @@ pvalueBatchImpl(std::span<const ColumnView> columns, std::span<T> out,
     // kernel answers them in O(1), so letting them occupy tile lanes
     // (a full inert DP run each) would hand back the whole win on
     // realistic calling scans, where most background columns saw no
-    // noise read at all. Answer them here and tile only the rest.
-    std::vector<uint32_t> order;
-    order.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        if (columns[i].k > 0)
-            order.push_back(i);
-        else
-            out[i] = RealTraits<T>::one();
+    // noise read at all. tileOrder puts them last: answer them here
+    // and tile only the rest. Results scatter back to input order;
+    // per-column bits are unaffected — a lane's operation sequence
+    // depends only on its own column.
+    std::vector<uint32_t> order = tileOrder(columns);
+    while (!order.empty() && columns[order.back()].k <= 0) {
+        out[order.back()] = RealTraits<T>::one();
+        order.pop_back();
     }
 
-    // Tile lanes run in lockstep to the deepest lane's K and N — a
-    // tile costs about max(N) * max(K) regardless of the other
-    // lanes — so sort indices by descending (K, N): equal-K columns
-    // become adjacent (realistic calling batches are dominated by a
-    // few tiny noise-K classes, so most tiles then hit the tile
-    // kernel's shared-K fast path) and N is monotone within each K
-    // class, bounding the padding. Columns too deep for the tile's
-    // L1 budget sort to the front and peel off to the row kernel
-    // tile group by tile group. Results scatter back to input
-    // order; per-column bits are unaffected — a lane's operation
-    // sequence depends only on its own column. The sort compares
-    // packed one-word keys: comparator cost is pure overhead the
-    // Isa::Scalar path does not pay.
-    std::vector<uint64_t> keyed(order.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-        const ColumnView &col = columns[order[i]];
-        const uint64_t len =
-            std::min<size_t>(col.success_probs.size(), 0xffffffff);
-        keyed[i] = (static_cast<uint64_t>(col.k) << 32) | len;
-    }
-    std::vector<uint32_t> rank(order.size());
-    std::iota(rank.begin(), rank.end(), 0U);
-    std::stable_sort(rank.begin(), rank.end(),
-                     [&keyed](uint32_t a, uint32_t b) {
-                         return keyed[a] > keyed[b];
-                     });
-    {
-        std::vector<uint32_t> sorted(order.size());
-        for (size_t i = 0; i < rank.size(); ++i)
-            sorted[i] = order[rank[i]];
-        order.swap(sorted);
-    }
-
-    constexpr size_t max_width = 8;
-    assert(width <= max_width);
-    ColumnView tile_cols[max_width];
-    T tile_out[max_width];
+    assert(tile_columns % width == 0);
+    ColumnView tile_cols[tile_columns];
+    T tile_out[tile_columns];
     const size_t tiles = order.size() / width;
     for (size_t t = 0; t < tiles; ++t) {
         size_t group_kmax = 1;
@@ -221,6 +186,38 @@ pvalueBatchImpl(std::span<const ColumnView> columns, std::span<T> out,
 }
 
 } // namespace
+
+std::vector<uint32_t>
+tileOrder(std::span<const ColumnView> columns)
+{
+    // Tile lanes run in lockstep to the deepest lane's K and N — a
+    // tile costs about max(N) * max(K) regardless of the other lanes
+    // — so sort by descending (K, N): equal-K columns become adjacent
+    // (realistic calling batches are dominated by a few tiny noise-K
+    // classes, so most tiles then hit the tile kernel's shared-K fast
+    // path) and N is monotone within each K class, bounding the
+    // padding. Columns too deep for a tile's L1 budget sort to the
+    // front and peel off to the row kernel tile group by tile group.
+    // One word per key: K <= 0 packs to 0 and sorts last. Sorting
+    // (~key, index) pairs ascending is descending by key with ties in
+    // input order — a stable sort without an indirect comparator.
+    std::vector<std::pair<uint64_t, uint32_t>> keyed(columns.size());
+    for (size_t i = 0; i < columns.size(); ++i) {
+        const ColumnView &col = columns[i];
+        uint64_t key = 0;
+        if (col.k > 0) {
+            const uint64_t len =
+                std::min<size_t>(col.success_probs.size(), 0xffffffff);
+            key = (static_cast<uint64_t>(col.k) << 32) | len;
+        }
+        keyed[i] = {~key, static_cast<uint32_t>(i)};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<uint32_t> order(columns.size());
+    for (size_t i = 0; i < keyed.size(); ++i)
+        order[i] = keyed[i].second;
+    return order;
+}
 
 template <typename T>
 void

@@ -10,20 +10,26 @@
  * for binary64 and binary32 on ragged batch shapes — so routing the
  * engine's default paths through here moves no committed baseline.
  *
- * Columns are internally processed in descending N*K (total DP work)
- * order so that a tile's lanes share DP depth (a tile always runs to
- * its longest lane's K and N; mixed tiles would burn the difference),
- * and results are scattered back to input order. Two vector forms
- * split the work by K: tiles handle groups whose DP state fits the L1
- * budget, while deep-tail columns (and sub-tile remainders) run a
- * row-vectorized single-column kernel that keeps the scalar kernel's
- * compact 2*K working set. Isa::Scalar runs the scalar kernel for
- * every column — the legacy path, not a 1-lane emulation.
+ * Columns are processed in tileOrder — descending packed (K, N), the
+ * single ordering definition — so that a tile's lanes share DP depth
+ * (a tile always runs to its longest lane's K and N; mixed tiles
+ * would burn the difference), and results are scattered back to input
+ * order. The engine orders a whole block by the same tileOrder and
+ * hands lanes chunks on multiples of tile_columns, so a chunk's tiles
+ * are the block's tiles and the sort here finds them already in
+ * place. Two vector forms split the work by K: tiles handle groups
+ * whose DP state fits the L1 budget, while deep-tail columns (and
+ * sub-tile remainders) run a row-vectorized single-column kernel
+ * that keeps the scalar kernel's compact 2*K working set.
+ * Isa::Scalar runs the scalar kernel for every column — the legacy
+ * path, not a 1-lane emulation.
  */
 
 #ifndef PSTAT_PBD_PBD_SIMD_HH
 #define PSTAT_PBD_PBD_SIMD_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -32,6 +38,24 @@
 
 namespace pstat::pbd
 {
+
+/**
+ * The widest tile of any backend (AVX2 binary32: 8 lanes). A slice of
+ * a tileOrder sequence that starts on a multiple of it starts on a
+ * tile boundary for every backend width (each divides 8), so callers
+ * that split one ordered batch into such slices run exactly the
+ * batch's tiles.
+ */
+inline constexpr size_t tile_columns = 8;
+
+/**
+ * The order the batch kernels tile columns in: indices into
+ * @p columns by descending packed (K, N) key — equal-K columns
+ * adjacent and N monotone within each K class, so a tile's lanes
+ * share DP depth — then every K <= 0 column (answered in O(1), never
+ * tiled) last. Ties keep input order, so the order is deterministic.
+ */
+std::vector<uint32_t> tileOrder(std::span<const ColumnView> columns);
 
 /**
  * Listing-2 p-values of every column under plain accumulation;

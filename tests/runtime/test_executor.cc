@@ -120,6 +120,88 @@ TEST(Executor, SerialFastPathStillReportsItsChunk)
     EXPECT_EQ(seen[0], (std::pair<size_t, size_t>{0, 7}));
 }
 
+TEST(Executor, AlignRoundsTheGrainUpToWholeTiles)
+{
+    Executor pool(4);
+    // The auto grain 250 / 32 = 7 becomes one 8-column tile; an
+    // empty or tiny batch still claims a whole tile.
+    EXPECT_EQ(pool.grainFor(250, 8), 8u);
+    EXPECT_EQ(pool.grainFor(3200, 8), 104u);
+    EXPECT_EQ(pool.grainFor(0, 8), 8u);
+    EXPECT_EQ(pool.grainFor(250, 0), pool.grainFor(250));
+    // An override still counts items; align only widens it.
+    Executor pinned(4, 13);
+    EXPECT_EQ(pinned.grainFor(250, 8), 16u);
+    EXPECT_EQ(pinned.grainFor(250, 1), 13u);
+}
+
+TEST(Executor, AlignedChunksPartitionOnTileBoundaries)
+{
+    constexpr size_t align = 8;
+    for (const size_t grain : {size_t{0}, size_t{1}, size_t{3},
+                               size_t{5}, size_t{13}}) {
+        for (const unsigned lanes : {1u, 4u}) {
+            Executor pool(lanes, grain);
+            std::mutex mutex;
+            std::vector<std::pair<size_t, size_t>> hooked;
+            pool.setChunkHook([&](size_t begin, size_t end, double) {
+                std::lock_guard<std::mutex> lock(mutex);
+                hooked.emplace_back(begin, end);
+            });
+            for (const size_t n : {1, 7, 8, 9, 250}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "lanes " << lanes << " grain " << grain
+                             << " n " << n);
+                hooked.clear();
+                std::vector<std::pair<size_t, size_t>> chunks;
+                pool.parallelForChunks(
+                    n,
+                    [&](size_t begin, size_t end) {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        chunks.emplace_back(begin, end);
+                    },
+                    align);
+                std::sort(chunks.begin(), chunks.end());
+                size_t expect = 0;
+                for (const auto &[begin, end] : chunks) {
+                    EXPECT_EQ(begin, expect);
+                    EXPECT_LT(begin, end);
+                    EXPECT_EQ(begin % align, 0u);
+                    if (end != n) {
+                        EXPECT_EQ(end % align, 0u);
+                    }
+                    expect = end;
+                }
+                EXPECT_EQ(expect, n);
+                std::sort(hooked.begin(), hooked.end());
+                EXPECT_EQ(hooked, chunks);
+            }
+            pool.setChunkHook(nullptr);
+        }
+    }
+}
+
+TEST(Executor, AlignedBatchDrainsOnException)
+{
+    Executor pool(4, 3);
+    EXPECT_THROW(pool.parallelForChunks(
+                     250,
+                     [](size_t begin, size_t end) {
+                         if (begin <= 37 && 37 < end)
+                             throw std::runtime_error("lane fault");
+                     },
+                     8),
+                 std::runtime_error);
+    std::atomic<size_t> covered{0};
+    pool.parallelForChunks(
+        250,
+        [&](size_t begin, size_t end) {
+            covered.fetch_add(end - begin, std::memory_order_relaxed);
+        },
+        8);
+    EXPECT_EQ(covered.load(), 250u);
+}
+
 TEST(Executor, FirstExceptionPropagatesAndPoolSurvives)
 {
     Executor pool(4, 1);

@@ -8,9 +8,12 @@
  * in-memory ones, swept over every registered format.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -571,6 +574,197 @@ TEST_F(PlanIdentity, AdaptiveBatchAndStreamMatch)
         expectSameAdaptive(engine.run(screened_stream).adaptive,
                            runOnDataset(engine, screened).adaptive,
                            tag + " screened");
+    }
+}
+
+// ----------------------------------------- scheduling invariance
+
+/**
+ * A ragged p-value mix aimed at the tiled batch path: K <= 0 columns
+ * (answered without a tile lane), K > N and empty columns, deep
+ * K > 512 columns (past the tile's L1 cap, so the row kernel runs),
+ * equal-K runs with rising and falling N, and a ragged bulk — 61
+ * columns, interleaved so input order is far from tile order and
+ * neither the block nor either shard is a multiple of 8 columns.
+ */
+std::vector<pbd::Column>
+raggedMix()
+{
+    std::vector<pbd::Column> mix;
+    auto add = [&mix](int n, int k, double base) {
+        pbd::Column column;
+        column.k = k;
+        const auto salt = static_cast<int>(mix.size());
+        for (int r = 0; r < n; ++r)
+            column.success_probs.push_back(
+                std::min(0.999, base * (1 + (r * 7 + salt * 3) % 29)));
+        mix.push_back(std::move(column));
+    };
+    for (int c = 0; c < 31; ++c) {
+        add(20 + (c * 37) % 280, 1 + (c * 11) % 40, 1e-3);
+        switch (c % 6) {
+        case 0:
+            add(40 + c * 13, 3, 1e-3); // equal-K run, N rising
+            break;
+        case 1:
+            add(200 - c * 5, 6, 2e-3); // equal-K run, N falling
+            break;
+        case 2:
+            add(60 + c, c % 4 == 0 ? 0 : -1, 1e-3); // K <= 0
+            break;
+        case 3:
+            add(540 + c * 4, 513 + c % 5, 0.033); // deep K: row kernel
+            break;
+        case 4:
+            add(40 + c * 13, 3, 1e-3);
+            add(c, c + 2, 1e-2); // K > N (c = 4 is the shortest)
+            break;
+        default:
+            add(c == 5 ? 0 : 200 - c * 5, 6, 2e-3); // one empty column
+            break;
+        }
+    }
+    mix.resize(61);
+    return mix;
+}
+
+/** Every byte of a file. */
+std::vector<char>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/**
+ * Fixed, screened, adaptive and screened-adaptive p-value plans over
+ * the ragged mix, in memory and streamed, under lane/grain schedules
+ * from serial to grains that split tiles: every result shard must be
+ * byte-equal to the serial in-memory run's, and every batch field and
+ * TierStats count equal. A lane's operations depend only on its own
+ * column, so how the block is chunked must not show in any bit.
+ */
+TEST_F(PlanIdentity, PValueBitsDoNotDependOnScheduling)
+{
+    const std::vector<pbd::Column> mix = raggedMix();
+    ASSERT_EQ(mix.size(), 61u);
+    std::vector<std::string> mix_shards;
+    for (int s = 0; s < 2; ++s) {
+        const std::string path =
+            tempPath("sched_mix_" + std::to_string(s) + ".shard");
+        const auto split = mix.begin() + 27;
+        test::writeThenRename(path, [&](const std::string &partial) {
+            io::writeColumnShard(
+                partial,
+                std::vector<pbd::Column>(s == 0 ? mix.begin() : split,
+                                         s == 0 ? split : mix.end()));
+        });
+        mix_shards.push_back(path);
+    }
+
+    struct Schedule
+    {
+        unsigned lanes;
+        size_t grain;
+    };
+    const Schedule schedules[] = {{1, 0}, {2, 1}, {3, 5}, {4, 0}, {4, 13}};
+
+    // A relative tolerance the analytic bounds rarely meet and a
+    // screen band that keeps about half the mix, so the ladder tiers
+    // and the screen's survivors are ragged subsets of each block.
+    engine::CertConfig cert;
+    cert.tol_rel_log2 = -20.0;
+    pbd::ScreenConfig screen;
+    screen.threshold_log2 = -40.0;
+    screen.guard_band_log2 = 24.0;
+
+    std::vector<engine::EvalPlan> plans;
+    for (const std::string id : {"binary64", "binary32", "log"}) {
+        engine::EvalPlan plan;
+        plan.sum = engine::PlanSum::Plain;
+        plan.format_id = id;
+        plan.screen = screen;
+        plan.policy = engine::PlanPolicy::Fixed;
+        plans.push_back(plan);
+        plan.policy = engine::PlanPolicy::Screened;
+        plans.push_back(plan);
+        plan.format_id = "binary64";
+        plan.ladder_ids = {id};
+        plan.cert = cert;
+        plan.policy = engine::PlanPolicy::Adaptive;
+        plans.push_back(plan);
+        plan.policy = engine::PlanPolicy::ScreenedAdaptive;
+        plans.push_back(plan);
+    }
+    // The paper's five-tier ladder at a looser tolerance: binary32
+    // certifies part of what it evaluates, so each tier's evaluation
+    // set is a different ragged subset.
+    engine::EvalPlan ladder = plans.back();
+    ladder.ladder_ids = {"bfloat16", "binary32", "binary64", "log",
+                         "scaled_dd"};
+    ladder.cert.tol_rel_log2 = -12.0;
+    plans.push_back(ladder);
+    ladder.policy = engine::PlanPolicy::Adaptive;
+    plans.push_back(ladder);
+
+    const std::string out_path = tempPath("sched_results.shard");
+    for (const engine::EvalPlan &base : plans) {
+        std::optional<engine::PlanRun> want;
+        std::vector<char> want_bytes;
+        for (const bool stream : {false, true}) {
+            for (const Schedule &schedule : schedules) {
+                const std::string tag =
+                    engine::describePlan(base) + (stream ? " stream" : " memory") +
+                    " lanes " + std::to_string(schedule.lanes) +
+                    " grain " + std::to_string(schedule.grain);
+                engine::EvalPlan plan = base;
+                engine::PlanInputs inputs;
+                if (stream) {
+                    plan.source = engine::PlanSource::ShardStream;
+                    plan.shard_paths = mix_shards;
+                } else {
+                    inputs.columns = mix;
+                }
+                engine::EvalEngine engine(schedule.lanes,
+                                          schedule.grain);
+                std::optional<engine::PlanRun> got;
+                {
+                    engine::ShardFileSink file(out_path, plan.kernel,
+                                               "mix");
+                    inputs.result_sink = &file;
+                    got = engine.run(plan, inputs);
+                }
+                const std::vector<char> bytes = fileBytes(out_path);
+                ASSERT_FALSE(bytes.empty()) << tag;
+                if (!want) {
+                    want = std::move(got);
+                    want_bytes = bytes;
+                    continue;
+                }
+                EXPECT_TRUE(bytes == want_bytes) << tag;
+                expectSameResults(got->results, want->results, tag);
+                expectSameResults(got->screened.results,
+                                  want->screened.results, tag);
+                EXPECT_EQ(got->screened.skipped, want->screened.skipped)
+                    << tag;
+                EXPECT_EQ(got->screened.stats.skipped,
+                          want->screened.stats.skipped)
+                    << tag;
+                expectSameAdaptive(got->adaptive, want->adaptive, tag);
+                ASSERT_EQ(got->adaptive.tiers.size(),
+                          want->adaptive.tiers.size())
+                    << tag;
+                for (size_t t = 0; t < got->adaptive.tiers.size(); ++t) {
+                    const engine::TierStats &a = got->adaptive.tiers[t];
+                    const engine::TierStats &b = want->adaptive.tiers[t];
+                    EXPECT_EQ(a.format_id, b.format_id) << tag;
+                    EXPECT_EQ(a.evaluated, b.evaluated) << tag;
+                    EXPECT_EQ(a.certified, b.certified) << tag;
+                    EXPECT_EQ(a.bypassed, b.bypassed) << tag;
+                }
+            }
+        }
     }
 }
 

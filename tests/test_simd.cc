@@ -13,6 +13,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -332,6 +333,24 @@ TEST(SimdPbd, BatchesSmallerThanLaneWidth)
         runPbdBatchAgainstOracle<double>(cols);
         runPbdBatchAgainstOracle<float>(cols);
     }
+}
+
+TEST(SimdPbd, TileOrderSortsByKThenNWithNonPositiveKLast)
+{
+    const std::vector<double> probs(9, 0.01);
+    auto view = [&probs](size_t n, int k) {
+        return pbd::ColumnView{std::span<const double>(probs.data(), n),
+                               k};
+    };
+    const std::vector<pbd::ColumnView> columns = {
+        view(4, 2), view(3, 0),  view(9, 5), view(6, 2),
+        view(4, 2), view(2, -1), view(5, 5), view(0, 3),
+    };
+    // Descending (K, N), equal keys in input order, K <= 0 last in
+    // input order.
+    const std::vector<uint32_t> want = {2, 6, 7, 3, 0, 4, 1, 5};
+    EXPECT_EQ(pbd::tileOrder(columns), want);
+    EXPECT_TRUE(pbd::tileOrder({}).empty());
 }
 
 template <typename T, int W>
