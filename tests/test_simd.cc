@@ -30,6 +30,7 @@
 #include "pbd/dataset.hh"
 #include "pbd/pbd.hh"
 #include "pbd/pbd_simd.hh"
+#include "pbd/pbd_simd_tile.hh"
 #include "stats/rng.hh"
 
 namespace
@@ -351,6 +352,33 @@ TEST(SimdPbd, TileOrderSortsByKThenNWithNonPositiveKLast)
     const std::vector<uint32_t> want = {2, 6, 7, 3, 0, 4, 1, 5};
     EXPECT_EQ(pbd::tileOrder(columns), want);
     EXPECT_TRUE(pbd::tileOrder({}).empty());
+}
+
+TEST(SimdPbd, TileScratchStartsOnACacheLine)
+{
+    // Tile throughput must not depend on where the heap happened to
+    // put a lane's scratch: every growth lands on a cache line, with
+    // odd-sized blocks left live in between to vary the heap.
+    using Buffer = pbd::detail::TileScratch<double>::Buffer;
+    std::vector<std::vector<char>> holes;
+    Buffer buffer;
+    for (size_t n = 1; n < 20000; n = n * 3 / 2 + 1) {
+        holes.emplace_back(n % 40 + 8);
+        buffer.resize(n);
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(buffer.data()) % 64, 0U)
+            << "n=" << n;
+    }
+    // The scratch the batch kernel actually ran with.
+    const auto columns = makeRaggedColumns();
+    const auto views = pbd::viewsOf(columns);
+    std::vector<double> out(views.size());
+    pbd::pvalueBatchSimd<double>(views, out);
+    const auto &scratch = pbd::detail::TileScratch<double>::get();
+    for (const Buffer *b : {&scratch.pq, &scratch.dp}) {
+        if (!b->empty()) {
+            EXPECT_EQ(reinterpret_cast<uintptr_t>(b->data()) % 64, 0U);
+        }
+    }
 }
 
 template <typename T, int W>
